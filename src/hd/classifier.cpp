@@ -82,31 +82,13 @@ HdClassifier& HdClassifier::operator=(HdClassifier&& other) noexcept {
 }
 
 std::vector<Hypervector> HdClassifier::encode_trial(const Trial& trial) const {
-  // Fused: one chunked pass — packed spatial encode feeding the sliding
-  // N-gram recurrence — instead of materializing the trial's full spatial
-  // sequence first. Bit-identical to the legacy chain below.
-  if (config_.fused) return fused_.encode_ngrams(trial);
-  std::vector<Hypervector> spatials(trial.size(), Hypervector(config_.dim));
-  spatial_.encode_batch(trial, spatials);
-  if (config_.ngram == 1) return spatials;  // pass-through, avoids re-copy
-  return TemporalEncoder::encode_sequence(spatials, config_.ngram);
+  return fused_.encode_ngrams(trial);
 }
 
 Hypervector HdClassifier::encode_query(const Trial& trial) const {
-  if (config_.fused) {
-    require(trial.size() >= config_.ngram,
-            "HdClassifier::encode_query: trial shorter than N-gram window");
-    // The fully fused path: the trial's N-grams bundle into bit-sliced
-    // counter planes as they are produced, so neither the spatial nor the
-    // N-gram sequence is ever materialized.
-    return fused_.encode_query(trial, query_tie_break_);
-  }
-  const std::vector<Hypervector> grams = encode_trial(trial);
-  require(!grams.empty(), "HdClassifier::encode_query: trial shorter than N-gram window");
-  if (grams.size() == 1) return grams.front();
-  BundleAccumulator acc(config_.dim);
-  for (const auto& g : grams) acc.add(g);
-  return acc.finalize(query_tie_break_);
+  require(trial.size() >= config_.ngram,
+          "HdClassifier::encode_query: trial shorter than N-gram window");
+  return fused_.encode_query(trial, query_tie_break_);
 }
 
 void HdClassifier::train(const Trial& trial, std::size_t label) {

@@ -34,12 +34,6 @@ struct ClassifierConfig {
   /// part of the model — never serialized). 1 = serial, 0 = one per
   /// hardware thread. Any value yields bit-identical results.
   std::size_t threads = 1;
-  /// Routes trial encoding through the fused single-pass pipeline (spatial
-  /// encode -> sliding N-gram recurrence -> bit-sliced counter bundling).
-  /// A runtime knob like `threads`, never serialized; both settings yield
-  /// bit-identical hypervectors — false keeps the legacy sample-at-a-time
-  /// chain for A/B tests and benches.
-  bool fused = true;
 
   /// Validates ranges; throws std::invalid_argument on nonsense.
   void validate() const;
@@ -78,8 +72,6 @@ class HdClassifier {
   /// Adjusts the host-thread knob after construction (e.g. for models
   /// rebuilt from a serialized stream, which never carries it).
   void set_threads(std::size_t threads) noexcept { config_.threads = threads; }
-  /// Toggles the fused trial-encode pipeline (bit-identical either way).
-  void set_fused(bool fused) noexcept { config_.fused = fused; }
   const ItemMemory& im() const noexcept { return im_; }
   const ContinuousItemMemory& cim() const noexcept { return cim_; }
   const AssociativeMemory& am() const noexcept { return am_; }
@@ -87,12 +79,16 @@ class HdClassifier {
   const SpatialEncoder& spatial_encoder() const noexcept { return spatial_; }
 
   /// Encodes a trial into its sequence of N-gram hypervectors (one per
-  /// complete window; empty when the trial is shorter than N).
+  /// complete window; empty when the trial is shorter than N). Trials are
+  /// encoded in one fused pass — packed spatial encode feeding the sliding
+  /// N-gram recurrence — bit-identical to the sample-at-a-time chain.
   std::vector<Hypervector> encode_trial(const Trial& trial) const;
 
   /// Bundles a trial's N-gram hypervectors into a single query hypervector
   /// — how both prototypes and queries are formed "in an identical way"
-  /// (§2.1.1). Throws when the trial is shorter than N samples.
+  /// (§2.1.1). The N-grams bundle into bit-sliced counter planes as they are
+  /// produced, so neither the spatial nor the N-gram sequence is ever
+  /// materialized. Throws when the trial is shorter than N samples.
   Hypervector encode_query(const Trial& trial) const;
 
   /// Accumulates a labeled trial into the AM (each N-gram of the trial is

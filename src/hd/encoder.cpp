@@ -245,22 +245,6 @@ bool TemporalEncoder::push(const Hypervector& spatial, Hypervector* out) {
   return true;
 }
 
-std::vector<Hypervector> TemporalEncoder::encode_sequence(std::span<const Hypervector> sequence,
-                                                          std::size_t n) {
-  require(n >= 1, "TemporalEncoder::encode_sequence: n must be >= 1");
-  std::vector<Hypervector> out;
-  if (sequence.size() < n) return out;
-  out.reserve(sequence.size() - n + 1);
-  // Slide one encoder over the sequence — the recurrence makes every window
-  // after the first O(dim) instead of O(n * dim).
-  TemporalEncoder enc(n, sequence.front().dim());
-  Hypervector gram(sequence.front().dim());
-  for (const Hypervector& s : sequence) {
-    if (enc.push(s, &gram)) out.push_back(gram);
-  }
-  return out;
-}
-
 StreamingEncoder::StreamingEncoder(const SpatialEncoder& spatial, std::size_t n,
                                    Hypervector tie_break)
     : spatial_(&spatial),

@@ -103,12 +103,6 @@ class TemporalEncoder {
     head_ = 0;
   }
 
-  /// Batch helper: N-grams of every complete window of a sequence, i.e.
-  /// sequence.size() - n + 1 outputs (empty when the sequence is shorter
-  /// than n).
-  static std::vector<Hypervector> encode_sequence(std::span<const Hypervector> sequence,
-                                                  std::size_t n);
-
  private:
   std::size_t n_;
   std::size_t dim_;
@@ -212,13 +206,13 @@ class StreamingEncoder {
 /// Fused single-pass trial encoder: quantize/bind/majority (spatial), the
 /// sliding N-gram recurrence (temporal), and bit-sliced counter bundling in
 /// one chunked pass over a trial, all through the dispatched kernel
-/// backend. Produces exactly the hypervectors of the legacy
-/// SpatialEncoder::encode -> TemporalEncoder::push -> BundleAccumulator
-/// chain (asserted in tests) without ever materializing the trial's spatial
-/// or N-gram sequences: peak scratch is one sample chunk, the n-slot
-/// window, and ceil(log2(grams + 1)) counter planes, all owned by a
-/// per-thread arena so concurrent encode_trials shards never allocate after
-/// warmup.
+/// backend. Produces exactly the hypervectors of the sample-at-a-time
+/// SpatialEncoder -> TemporalEncoder -> BundleAccumulator chain (the test
+/// oracle in tests/hd/reference_encoder.hpp) without ever materializing the
+/// trial's spatial or N-gram sequences: peak scratch is one sample chunk,
+/// the n-slot window, and ceil(log2(grams + 1)) counter planes, all owned
+/// by a per-thread arena so concurrent encode_trials shards never allocate
+/// after warmup.
 class FusedTrialEncoder {
  public:
   /// `spatial` must outlive the encoder; `n` is the temporal window size.

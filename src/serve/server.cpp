@@ -61,19 +61,37 @@ void close_quietly(int& fd) {
   }
 }
 
-/// Writes the whole buffer (blocking fd); sockets get MSG_NOSIGNAL so a
-/// vanished peer surfaces as an error return instead of SIGPIPE. Returns
-/// false once the peer is gone.
-bool send_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
+/// Where the event loop runs each request type. This is the one place a
+/// verb is classified: a request type without an overload below fails to
+/// compile.
+enum class Route {
+  kLoop,    ///< trivial lookup, answered on the loop thread itself
+  kQuit,    ///< answered `bye`, then the connection closes
+  kWorker,  ///< compute or disk I/O, handed to the worker pool
+  kStream,  ///< a worker request that also advances the stream session
+};
+
+constexpr Route route(const PingRequest&) { return Route::kLoop; }
+constexpr Route route(const ModelsRequest&) { return Route::kLoop; }
+constexpr Route route(const QuitRequest&) { return Route::kQuit; }
+constexpr Route route(const ClassifyRequest&) { return Route::kWorker; }
+constexpr Route route(const ReloadRequest&) { return Route::kWorker; }
+constexpr Route route(const StreamOpenRequest&) { return Route::kStream; }
+constexpr Route route(const StreamPushRequest&) { return Route::kStream; }
+constexpr Route route(const StreamCloseRequest&) { return Route::kStream; }
+
+Route route_of(const Request& request) {
+  return std::visit([](const auto& typed) { return route(typed); }, request);
+}
+
+/// Chaos hook for the worker-side execute path (classify and the stream
+/// family alike): stall(MS) makes them slow (driving --request-timeout
+/// shedding), err(E) simulates an unexpected execution failure.
+void execute_failpoint() {
+  const failpoint::Injection inj = failpoint::evaluate("serve.classify");
+  if (inj.kind == failpoint::Injection::Kind::kError) {
+    throw std::runtime_error("injected classify failure: " + io::errno_text(inj.error));
   }
-  return true;
 }
 
 }  // namespace
@@ -490,18 +508,18 @@ void ClassifyServer::dispatch_next(Connection& conn) {
       return;
     }
     if (!item.request.has_value()) continue;
-    if (std::holds_alternative<QuitRequest>(*item.request)) {
+    const Route route = route_of(*item.request);
+    if (route == Route::kQuit) {
       conn.outbuf += ResponseEncoder(conn.session.wire()).bye();
       conn.closing = true;
       conn.pending.clear();
       return;
     }
-    const bool streams = std::holds_alternative<StreamOpenRequest>(*item.request) ||
-                         std::holds_alternative<StreamPushRequest>(*item.request) ||
-                         std::holds_alternative<StreamCloseRequest>(*item.request);
-    const bool computes = streams || std::holds_alternative<ClassifyRequest>(*item.request) ||
-                          std::holds_alternative<ReloadRequest>(*item.request);
-    if (computes && config_.request_timeout.count() > 0) {
+    if (route == Route::kLoop) {
+      conn.outbuf += handle_request(*item.request, conn.session.wire(), *conn.stream);
+      continue;
+    }
+    if (config_.request_timeout.count() > 0) {
       // Shed work that sat queued behind earlier pipelined requests past
       // the deadline: answering `timeout` now beats running a classify
       // whose client has long stopped waiting. Requests already on a
@@ -515,7 +533,7 @@ void ClassifyServer::dispatch_next(Connection& conn) {
                                       " ms, past the " +
                                       std::to_string(config_.request_timeout.count()) +
                                       " ms deadline; shed unrun");
-        if (streams) {
+        if (route == Route::kStream) {
           // A shed stream request breaks the sample stream (a dropped push
           // would silently skew every later window), so invalidate the
           // whole session: swap in a fresh one — never mutate the old
@@ -526,43 +544,39 @@ void ClassifyServer::dispatch_next(Connection& conn) {
         continue;
       }
     }
-    if (computes) {
-      // Classify, reload and the stream family all compute/do I/O: hand
-      // them to the pool and wait for the completion before touching the
-      // next pipelined item, so responses keep request order — which also
-      // guarantees at most one worker per connection, the mutual exclusion
-      // the shared StreamSession relies on.
-      conn.busy = true;
-      const std::uint64_t id = conn.id;
-      const Wire wire = conn.session.wire();
-      {
-        const MutexLock lock(completions_mutex_);
-        ++in_flight_;
-      }
-      workers_->submit(
-          [this, id, wire, stream = conn.stream,
-           request = std::make_shared<Request>(std::move(*item.request))] {
-            std::string output;
-            try {
-              output = handle_request(*request, wire, *stream);
-            } catch (...) {
-              // handle_request already maps failures; this is a backstop so
-              // a worker thread can never die with an exception in flight.
-              output = ResponseEncoder(wire).error(kErrInternal, "unexpected server failure");
-            }
-            {
-              const MutexLock lock(completions_mutex_);
-              completions_.push_back({id, std::move(output)});
-              --in_flight_;
-            }
-            completions_cv_.notify_all();
-            const std::uint64_t one = 1;
-            (void)::write(completion_fd_, &one, sizeof(one));
-          });
-      return;
+    // Classify, reload and the stream family all compute/do I/O: hand
+    // them to the pool and wait for the completion before touching the
+    // next pipelined item, so responses keep request order — which also
+    // guarantees at most one worker per connection, the mutual exclusion
+    // the shared StreamSession relies on.
+    conn.busy = true;
+    const std::uint64_t id = conn.id;
+    const Wire wire = conn.session.wire();
+    {
+      const MutexLock lock(completions_mutex_);
+      ++in_flight_;
     }
-    // ping / models: trivial lookups, answered on the loop thread itself.
-    conn.outbuf += handle_request(*item.request, conn.session.wire(), *conn.stream);
+    workers_->submit(
+        [this, id, wire, stream = conn.stream,
+         request = std::make_shared<Request>(std::move(*item.request))] {
+          std::string output;
+          try {
+            output = handle_request(*request, wire, *stream);
+          } catch (...) {
+            // handle_request already maps failures; this is a backstop so
+            // a worker thread can never die with an exception in flight.
+            output = ResponseEncoder(wire).error(kErrInternal, "unexpected server failure");
+          }
+          {
+            const MutexLock lock(completions_mutex_);
+            completions_.push_back({id, std::move(output)});
+            --in_flight_;
+          }
+          completions_cv_.notify_all();
+          const std::uint64_t one = 1;
+          (void)::write(completion_fd_, &one, sizeof(one));
+        });
+    return;
   }
 }
 
@@ -686,132 +700,97 @@ void ClassifyServer::shutdown_loop() {
   }
 }
 
-void ClassifyServer::serve_connection(int fd) const {
-  ConnectionSession session(session_limits());
-  StreamSession stream;  // blocking path: one connection, one local session
-  char chunk[4096];
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;
-    for (WireEvent& event : session.consume({chunk, static_cast<std::size_t>(n)})) {
-      if (!event.output.empty() && !send_all(fd, event.output)) {
-        open = false;
-        break;
-      }
-      if (event.request.has_value()) {
-        if (std::holds_alternative<QuitRequest>(*event.request)) {
-          send_all(fd, session.encoder().bye());
-          open = false;
-          break;
-        }
-        if (!send_all(fd, handle_request(*event.request, session.wire(), stream))) {
-          open = false;
-          break;
-        }
-      }
-      if (event.drop) {
-        open = false;
-        break;
-      }
-    }
-  }
-  ::close(fd);
-}
+/// The std::visit arms of handle_request, one per request type. Failures
+/// throw (CodedError when they carry a wire code); handle_request turns
+/// them into error responses.
+struct ClassifyServer::RequestHandler {
+  ModelRegistry& registry;
+  StreamSession& stream;
+  const ResponseEncoder& encoder;
 
-std::string ClassifyServer::handle_request(const Request& request, Wire wire,
-                                           StreamSession& stream) const {
-  const ResponseEncoder encoder(wire);
-  try {
-    if (std::holds_alternative<PingRequest>(request)) return encoder.pong();
-    if (std::holds_alternative<ModelsRequest>(request)) {
-      return encoder.models(registry_.infos());
+  std::string operator()(const PingRequest&) const { return encoder.pong(); }
+  std::string operator()(const ModelsRequest&) const { return encoder.models(registry.infos()); }
+  std::string operator()(const QuitRequest&) const { return encoder.bye(); }
+
+  std::string operator()(const ReloadRequest& reload) const {
+    // Reload failures live in the per-model status rows, never as a wire
+    // error: the previous models keep serving regardless.
+    const std::vector<ReloadStatus> statuses =
+        reload.model.empty() ? registry.reload_all()
+                             : std::vector<ReloadStatus>{registry.reload(reload.model)};
+    return encoder.reload(statuses);
+  }
+
+  std::string operator()(const StreamOpenRequest& open) const {
+    execute_failpoint();
+    if (stream.open()) {
+      throw CodedError(std::string(kErrBadStream),
+                       "a streaming session is already open on this connection (model \"" +
+                           stream.model->name + "\"); stream-close it first");
     }
-    if (std::holds_alternative<ReloadRequest>(request)) {
-      const auto& reload = std::get<ReloadRequest>(request);
-      // Reload failures live in the per-model status rows, never as a
-      // wire error: the previous models keep serving regardless.
-      const std::vector<ReloadStatus> statuses =
-          reload.model.empty() ? registry_.reload_all()
-                               : std::vector<ReloadStatus>{registry_.reload(reload.model)};
-      return encoder.reload(statuses);
+    // The snapshot pins this model version for the session's whole life:
+    // reloads concurrent with the session swap the registry slot without
+    // ever touching it, and the next stream-open resolves fresh.
+    const ModelSnapshot entry = registry.resolve(open.model);
+    const hd::ClassifierConfig& cfg = entry->classifier.config();
+    if (open.window < cfg.ngram) {
+      throw CodedError(std::string(kErrBadStream),
+                       "window=" + std::to_string(open.window) + " is shorter than model \"" +
+                           entry->name + "\"'s N-gram size " + std::to_string(cfg.ngram));
     }
-    // Chaos hook for the worker-side execute path (classify and the stream
-    // family alike): stall(MS) makes them slow (driving --request-timeout
-    // shedding), err(E) simulates an unexpected execution failure.
-    const failpoint::Injection inj = failpoint::evaluate("serve.classify");
-    if (inj.kind == failpoint::Injection::Kind::kError) {
-      throw std::runtime_error("injected classify failure: " + io::errno_text(inj.error));
+    stream.encoder.emplace(entry->classifier.make_streaming_encoder());
+    stream.encoder->configure(open.window, open.hop);
+    stream.windows = 0;
+    stream.model = entry;  // last: open() now implies a configured encoder
+    return encoder.stream_opened(entry->name, open.window, open.hop);
+  }
+
+  std::string operator()(const StreamPushRequest& push) const {
+    execute_failpoint();
+    if (!stream.open()) {
+      throw CodedError(std::string(kErrBadStream),
+                       "stream-push without an open session (stream-open first; a shed "
+                       "stream request also invalidates the session)");
     }
-    if (std::holds_alternative<StreamOpenRequest>(request)) {
-      const auto& open = std::get<StreamOpenRequest>(request);
-      if (stream.open()) {
-        throw CodedError(std::string(kErrBadStream),
-                         "a streaming session is already open on this connection (model \"" +
-                             stream.model->name + "\"); stream-close it first");
+    const hd::ClassifierConfig& cfg = stream.model->classifier.config();
+    // Validate every sample before consuming any, so a bad-trial answer
+    // leaves the stream position untouched and the client may re-push.
+    for (const hd::Sample& sample : push.samples) {
+      if (sample.size() != cfg.channels) {
+        throw CodedError(std::string(kErrBadTrial),
+                         "stream sample has " + std::to_string(sample.size()) +
+                             " channels but model \"" + stream.model->name + "\" expects " +
+                             std::to_string(cfg.channels));
       }
-      // The snapshot pins this model version for the session's whole life:
-      // reloads concurrent with the session swap the registry slot without
-      // ever touching it, and the next stream-open resolves fresh.
-      const ModelSnapshot entry = registry_.resolve(open.model);
-      const hd::ClassifierConfig& cfg = entry->classifier.config();
-      if (open.window < cfg.ngram) {
-        throw CodedError(std::string(kErrBadStream),
-                         "window=" + std::to_string(open.window) + " is shorter than model \"" +
-                             entry->name + "\"'s N-gram size " + std::to_string(cfg.ngram));
-      }
-      stream.encoder.emplace(entry->classifier.make_streaming_encoder());
-      stream.encoder->configure(open.window, open.hop);
-      stream.windows = 0;
-      stream.model = entry;  // last: open() now implies a configured encoder
-      return encoder.stream_opened(entry->name, open.window, open.hop);
     }
-    if (std::holds_alternative<StreamPushRequest>(request)) {
-      const auto& push = std::get<StreamPushRequest>(request);
-      if (!stream.open()) {
-        throw CodedError(std::string(kErrBadStream),
-                         "stream-push without an open session (stream-open first; a shed "
-                         "stream request also invalidates the session)");
-      }
-      const hd::ClassifierConfig& cfg = stream.model->classifier.config();
-      // Validate every sample before consuming any, so a bad-trial answer
-      // leaves the stream position untouched and the client may re-push.
-      for (const hd::Sample& sample : push.samples) {
-        if (sample.size() != cfg.channels) {
-          throw CodedError(std::string(kErrBadTrial),
-                           "stream sample has " + std::to_string(sample.size()) +
-                               " channels but model \"" + stream.model->name + "\" expects " +
-                               std::to_string(cfg.channels));
-        }
-      }
-      const std::uint64_t first_index = stream.windows;
-      std::vector<hd::Hypervector> queries;
-      stream.encoder->push(push.samples, queries);
-      stream.windows += queries.size();
-      // The windows' queries came out of the streaming recurrence
-      // bit-identical to the buffered encode, so classifying them against
-      // the pinned AM matches the offline batch path exactly.
-      const std::vector<hd::AmDecision> decisions =
-          stream.model->classifier.predict_encoded_batch(queries);
-      return encoder.stream_windows(first_index, decisions);
+    const std::uint64_t first_index = stream.windows;
+    std::vector<hd::Hypervector> queries;
+    stream.encoder->push(push.samples, queries);
+    stream.windows += queries.size();
+    // The windows' queries came out of the streaming recurrence
+    // bit-identical to the buffered encode, so classifying them against
+    // the pinned AM matches the offline batch path exactly.
+    const std::vector<hd::AmDecision> decisions =
+        stream.model->classifier.predict_encoded_batch(queries);
+    return encoder.stream_windows(first_index, decisions);
+  }
+
+  std::string operator()(const StreamCloseRequest&) const {
+    execute_failpoint();
+    if (!stream.open()) {
+      throw CodedError(std::string(kErrBadStream), "stream-close without an open session");
     }
-    if (std::holds_alternative<StreamCloseRequest>(request)) {
-      if (!stream.open()) {
-        throw CodedError(std::string(kErrBadStream), "stream-close without an open session");
-      }
-      const std::uint64_t windows = stream.windows;
-      stream.close();
-      return encoder.stream_closed(windows);
-    }
-    const auto& classify = std::get<ClassifyRequest>(request);
+    const std::uint64_t windows = stream.windows;
+    stream.close();
+    return encoder.stream_closed(windows);
+  }
+
+  std::string operator()(const ClassifyRequest& classify) const {
+    execute_failpoint();
     // The snapshot pins this model version for the whole computation: a
     // concurrent reload swaps the registry slot without ever blocking or
     // invalidating this request.
-    const ModelSnapshot entry = registry_.resolve(classify.model);
+    const ModelSnapshot entry = registry.resolve(classify.model);
     const hd::ClassifierConfig& cfg = entry->classifier.config();
     for (std::size_t t = 0; t < classify.trials.size(); ++t) {
       const hd::Trial& trial = classify.trials[t];
@@ -832,9 +811,16 @@ std::string ClassifyServer::handle_request(const Request& request, Wire wire,
     }
     // The bit-identical offline batch path: parallel fused encode across
     // the classifier's host threads, then the word-parallel AM kernel.
-    const std::vector<hd::AmDecision> decisions =
-        entry->classifier.predict_batch(classify.trials);
+    const std::vector<hd::AmDecision> decisions = entry->classifier.predict_batch(classify.trials);
     return encoder.classify(entry->name, decisions);
+  }
+};
+
+std::string ClassifyServer::handle_request(const Request& request, Wire wire,
+                                           StreamSession& stream) const {
+  const ResponseEncoder encoder(wire);
+  try {
+    return std::visit(RequestHandler{registry_, stream, encoder}, request);
   } catch (const CodedError& e) {
     return encoder.error(e.code(), e.what());
   } catch (const std::exception& e) {

@@ -17,7 +17,9 @@
 // receive a parsed request, compute the encoded response, and hand it back
 // through a mutex-guarded completion queue + eventfd wakeup. Requests
 // pipelined on one connection are answered strictly in order; different
-// connections classify concurrently across the pool. The registry is
+// connections classify concurrently across the pool. This loop is the only
+// dispatch path: every connection, test clients included, is accepted from
+// a listener and served by it. The registry is
 // internally synchronized and hands out immutable shared_ptr snapshots
 // (RCU-style), so workers resolve and classify against it concurrently —
 // including while a `reload` request or SIGHUP (request_reload()) swaps
@@ -131,13 +133,6 @@ class ClassifyServer {
   /// and a failed model keeps its previous snapshot serving.
   void request_reload() noexcept;
 
-  /// Serves one already-established connection until the peer closes, a
-  /// `quit` request, or an unrecoverable protocol error; closes `fd`.
-  /// Blocking and single-threaded — the same ConnectionSession logic the
-  /// event loop drives, exposed so tests cover the full request/response
-  /// loop over a socketpair without any listener or extra threads.
-  void serve_connection(int fd) const;
-
  private:
   struct Connection;
   /// Per-connection streaming-session state (one at most per connection,
@@ -146,6 +141,8 @@ class ClassifyServer {
   /// single-flight pipeline guarantees only one worker touches it at a
   /// time, and the completion handoff orders those touches.
   struct StreamSession;
+  /// The per-request-type arms of handle_request's std::visit (server.cpp).
+  struct RequestHandler;
   struct Completion {
     std::uint64_t conn_id = 0;
     std::string output;

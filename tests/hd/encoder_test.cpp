@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_encoder.hpp"
+
 namespace pulphd::hd {
 namespace {
 
@@ -119,21 +121,23 @@ TEST(TemporalEncoder, ResetEmptiesWindow) {
   EXPECT_FALSE(enc.push(Hypervector::random(64, rng), &out));
 }
 
+// The reference chain's sequence helper (the oracle behind
+// fused_encoder_test) must itself agree with TemporalEncoder::push.
 TEST(TemporalEncoder, EncodeSequenceCountsWindows) {
   Xoshiro256StarStar rng(7);
   std::vector<Hypervector> seq;
   for (int i = 0; i < 10; ++i) seq.push_back(Hypervector::random(128, rng));
-  EXPECT_EQ(TemporalEncoder::encode_sequence(seq, 1).size(), 10u);
-  EXPECT_EQ(TemporalEncoder::encode_sequence(seq, 4).size(), 7u);
-  EXPECT_EQ(TemporalEncoder::encode_sequence(seq, 10).size(), 1u);
-  EXPECT_TRUE(TemporalEncoder::encode_sequence(seq, 11).empty());
+  EXPECT_EQ(reference::encode_sequence(seq, 1).size(), 10u);
+  EXPECT_EQ(reference::encode_sequence(seq, 4).size(), 7u);
+  EXPECT_EQ(reference::encode_sequence(seq, 10).size(), 1u);
+  EXPECT_TRUE(reference::encode_sequence(seq, 11).empty());
 }
 
 TEST(TemporalEncoder, EncodeSequenceMatchesStreaming) {
   Xoshiro256StarStar rng(8);
   std::vector<Hypervector> seq;
   for (int i = 0; i < 8; ++i) seq.push_back(Hypervector::random(200, rng));
-  const auto batch = TemporalEncoder::encode_sequence(seq, 3);
+  const auto batch = reference::encode_sequence(seq, 3);
   TemporalEncoder enc(3, 200);
   Hypervector out(200);
   std::vector<Hypervector> streaming;

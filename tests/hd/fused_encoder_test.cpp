@@ -1,9 +1,10 @@
-// Bit-exactness of the fused single-pass trial encoding (PR 4 tentpole)
-// against the legacy sample-at-a-time chain, across every compiled+supported
-// backend, n-gram sizes 1/3/5, trial lengths shorter/equal/longer than n,
-// odd/even channel counts and 1-vs-4 thread counts; plus the pieces it is
-// built from: rotate_into vs rotated, the sliding N-gram recurrence vs the
-// direct reduction, and CounterBundle vs BundleAccumulator.
+// Bit-exactness of HdClassifier's fused single-pass trial encoding against
+// the sample-at-a-time reference chain (reference_encoder.hpp), across every
+// compiled+supported backend, n-gram sizes 1/3/5, trial lengths
+// shorter/equal/longer than n, odd/even channel counts and 1/2/4 thread
+// counts; plus the pieces it is built from: rotate_into vs rotated, the
+// sliding N-gram recurrence vs the direct reduction, and CounterBundle vs
+// BundleAccumulator.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "hd/ops.hpp"
 #include "kernels/backend.hpp"
 #include "kernels/bitsliced.hpp"
+#include "reference_encoder.hpp"
 
 namespace pulphd::hd {
 namespace {
@@ -88,14 +90,14 @@ TEST(TemporalEncoderRecurrence, EncodeSequenceMatchesPerWindowNgram) {
   std::vector<Hypervector> sequence;
   for (int i = 0; i < 9; ++i) sequence.push_back(random_hv(dim, rng));
   for (const std::size_t n : {1u, 3u, 5u, 9u}) {
-    const std::vector<Hypervector> grams = TemporalEncoder::encode_sequence(sequence, n);
+    const std::vector<Hypervector> grams = reference::encode_sequence(sequence, n);
     ASSERT_EQ(grams.size(), sequence.size() - n + 1);
     for (std::size_t start = 0; start + n <= sequence.size(); ++start) {
       EXPECT_EQ(grams[start],
                 ngram(std::span<const Hypervector>(sequence).subspan(start, n)));
     }
   }
-  EXPECT_TRUE(TemporalEncoder::encode_sequence(sequence, sequence.size() + 1).empty());
+  EXPECT_TRUE(reference::encode_sequence(sequence, sequence.size() + 1).empty());
 }
 
 TEST(CounterBundle, MatchesBundleAccumulator) {
@@ -150,8 +152,8 @@ TEST(CounterBundle, EvenAddCountRequiresTieBreak) {
   EXPECT_THROW(bundle.majority(backend, nullptr, out.data()), std::invalid_argument);
 }
 
-// The full matrix the satellite task asks for: fused vs legacy encode_query
-// and encode_trial across backend x n x trial length x channel parity.
+// The full matrix: HdClassifier vs the reference chain, encode_query and
+// encode_trial, across backend x dim x channel parity x n x trial length.
 TEST(FusedTrialEncoding, BitExactWithLegacyAcrossBackendsNgramsAndLengths) {
   Xoshiro256StarStar rng(0xf0005);
   for (const kernels::Backend* backend : kernels::compiled_backends()) {
@@ -168,10 +170,8 @@ TEST(FusedTrialEncoding, BitExactWithLegacyAcrossBackendsNgramsAndLengths) {
           const std::size_t lengths[] = {n, n + 1, 2 * n + 3, 17};
           for (const std::size_t samples : lengths) {
             const Trial trial = random_trial(samples, channels, rng);
-            clf.set_fused(false);
-            const std::vector<Hypervector> legacy_grams = clf.encode_trial(trial);
-            const Hypervector legacy_query = clf.encode_query(trial);
-            clf.set_fused(true);
+            const std::vector<Hypervector> legacy_grams = reference::encode_trial(clf, trial);
+            const Hypervector legacy_query = reference::encode_query(clf, trial);
             EXPECT_EQ(clf.encode_trial(trial), legacy_grams)
                 << backend->name << " dim " << dim << " channels " << channels << " n "
                 << n << " samples " << samples;
@@ -183,10 +183,8 @@ TEST(FusedTrialEncoding, BitExactWithLegacyAcrossBackendsNgramsAndLengths) {
           // agree on the failure shape too.
           if (n > 1) {
             const Trial short_trial = random_trial(n - 1, channels, rng);
-            clf.set_fused(false);
-            EXPECT_TRUE(clf.encode_trial(short_trial).empty());
-            EXPECT_THROW(clf.encode_query(short_trial), std::invalid_argument);
-            clf.set_fused(true);
+            EXPECT_TRUE(reference::encode_trial(clf, short_trial).empty());
+            EXPECT_THROW(reference::encode_query(clf, short_trial), std::invalid_argument);
             EXPECT_TRUE(clf.encode_trial(short_trial).empty());
             EXPECT_THROW(clf.encode_query(short_trial), std::invalid_argument);
           }
@@ -198,7 +196,7 @@ TEST(FusedTrialEncoding, BitExactWithLegacyAcrossBackendsNgramsAndLengths) {
 
 // The fused pipeline against a from-first-principles sample-at-a-time
 // reference (per-sample spatial encode, per-window hd::ngram, per-component
-// BundleAccumulator) rather than the classifier's own legacy path.
+// BundleAccumulator) rather than the batch reference chain.
 TEST(FusedTrialEncoding, MatchesSampleAtATimeReference) {
   Xoshiro256StarStar rng(0xf0006);
   ClassifierConfig cfg;
@@ -219,12 +217,10 @@ TEST(FusedTrialEncoding, MatchesSampleAtATimeReference) {
   BundleAccumulator acc(cfg.dim);
   for (const auto& g : grams) acc.add(g);
 
-  clf.set_fused(true);
   EXPECT_EQ(clf.encode_trial(trial), grams);
-  // The tie-break hypervector is the classifier's own; recover the expected
-  // query through the legacy path (itself asserted equal to the fused path
-  // above) and check the gram bundle against the reference accumulator via
-  // one arbitrary-but-fixed tie-break.
+  // Check the gram bundle against the reference accumulator via one
+  // arbitrary-but-fixed tie-break (the classifier's own tie-break path is
+  // covered by the matrix above).
   Xoshiro256StarStar tie_rng(0x7e);
   const Hypervector tie = Hypervector::random(cfg.dim, tie_rng);
   kernels::CounterBundle bundle;
@@ -250,16 +246,10 @@ TEST(FusedTrialEncoding, EncodeTrialsIdenticalAcrossThreadCountsAndFusion) {
   for (const std::size_t samples : {3u, 17u, 5u, 40u, 3u, 9u, 21u, 4u, 12u, 7u}) {
     trials.push_back(random_trial(samples, cfg.channels, rng));
   }
-  clf.set_fused(false);
-  clf.set_threads(1);
-  const std::vector<Hypervector> reference = clf.encode_trials(trials);
-  for (const bool fused : {true, false}) {
-    clf.set_fused(fused);
-    for (const std::size_t threads : {1u, 4u}) {
-      clf.set_threads(threads);
-      EXPECT_EQ(clf.encode_trials(trials), reference)
-          << "fused " << fused << " threads " << threads;
-    }
+  const std::vector<Hypervector> expected = reference::encode_trials(clf, trials);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    clf.set_threads(threads);
+    EXPECT_EQ(clf.encode_trials(trials), expected) << "threads " << threads;
   }
 }
 
@@ -275,14 +265,14 @@ TEST(FusedTrialEncoding, PredictBatchDecisionsUnchangedByFusion) {
   }
   std::vector<Trial> queries;
   for (int q = 0; q < 8; ++q) queries.push_back(random_trial(10, cfg.channels, rng));
-  clf.set_fused(false);
-  const std::vector<AmDecision> legacy = clf.predict_batch(queries);
-  clf.set_fused(true);
+  const std::vector<AmDecision> legacy =
+      clf.predict_encoded_batch(reference::encode_trials(clf, queries));
   const std::vector<AmDecision> fused = clf.predict_batch(queries);
   ASSERT_EQ(fused.size(), legacy.size());
   for (std::size_t q = 0; q < legacy.size(); ++q) {
     EXPECT_EQ(fused[q].label, legacy[q].label);
     EXPECT_EQ(fused[q].distance, legacy[q].distance);
+    EXPECT_EQ(fused[q].distances, legacy[q].distances);
   }
 }
 

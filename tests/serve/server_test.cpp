@@ -1,6 +1,6 @@
-// Client/server integration tests for the serve layer: a scripted client
-// drives a real ClassifyServer over a socketpair (no listener needed) and
-// over real Unix-domain / loopback-TCP listeners, asserting that served
+// Client/server integration tests for the serve layer: scripted clients
+// drive a real ClassifyServer (epoll loop + worker pool) over Unix-domain
+// and loopback-TCP listeners, asserting that served
 // predictions are bit-identical to the offline HdClassifier::predict_batch
 // path and that protocol errors keep or drop the connection as specified
 // in docs/protocol.md.
@@ -16,6 +16,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -137,28 +138,56 @@ class Client {
   int fd_ = -1;
 };
 
-/// One serve_connection loop over a socketpair — the pure request/response
-/// path without listener setup. The destructor closes the client end (which
-/// lets the connection thread see EOF) before joining it, so every member
-/// outlives the thread.
+int connect_unix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0)
+      << std::strerror(errno);
+  return fd;
+}
+
+/// The production server — listener, epoll loop, worker pool — on a
+/// per-test Unix socket, with one connected client. The destructor closes
+/// the client, then stops and joins the loop, so every member outlives the
+/// loop thread.
 class Harness {
  public:
   explicit Harness(ModelRegistry& registry, ServeConfig config = {})
-      : server_(registry, std::move(config)) {
-    int fds[2] = {-1, -1};
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    thread_ = std::thread([this, fd = fds[0]] { server_.serve_connection(fd); });
-    client_ = std::make_unique<Client>(fds[1]);
+      : server_(registry, on_socket(std::move(config), path_)) {
+    server_.bind_and_listen();
+    // The listen backlog holds the connection until run() accepts it, and
+    // nothing after the thread starts can throw past an unjoined thread.
+    client_ = std::make_unique<Client>(connect());
+    thread_ = std::thread([this] { server_.run(); });
   }
 
   ~Harness() {
-    client_->close_now();
+    client_.reset();
+    server_.stop();
     thread_.join();
   }
 
+  Harness(const Harness&) = delete;
+  Harness& operator=(const Harness&) = delete;
+
   Client& client() { return *client_; }
+  /// A further connection to the same server.
+  Client connect() { return Client(connect_unix(path_)); }
 
  private:
+  static ServeConfig on_socket(ServeConfig config, const std::string& path) {
+    config.unix_path = path;
+    ::unlink(path.c_str());
+    return config;
+  }
+
+  // Pid-qualified: ctest runs each case as its own parallel process, so a
+  // shared fixed name would let concurrent cases clobber each other.
+  const std::string path_ =
+      ::testing::TempDir() + "/pulphd_serve_conn." + std::to_string(::getpid()) + ".sock";
   ClassifyServer server_;
   std::thread thread_;
   std::unique_ptr<Client> client_;
@@ -277,7 +306,25 @@ TEST_F(ServeConnectionTest, OverlongLineAnswersTooLargeAndCloses) {
   EXPECT_TRUE(client.at_eof());
 }
 
-// --- phd2 binary connections over the same serve_connection loop ----------
+TEST_F(ServeConnectionTest, PipelinedTextBurstStopsAtAMidBurstQuit) {
+  Harness harness(registry_);
+  Client& client = harness.client();
+  const std::vector<hd::Trial> trials = query_trials();
+  const std::vector<hd::AmDecision> offline =
+      registry_.resolve("subj0")->classifier.predict_batch(trials);
+  // One write: the classify goes to a worker while the rest queue behind
+  // it. Everything after `quit` is discarded unanswered.
+  client.send(format_classify_request("subj0", trials) + "phd1 ping\nphd1 quit\nphd1 ping\n");
+  EXPECT_EQ(client.read_line(), "ok classify model=subj0 results=3");
+  for (const hd::AmDecision& expected : offline) {
+    EXPECT_EQ(parse_result_line(client.read_line()).distances, expected.distances);
+  }
+  EXPECT_EQ(client.read_line(), "ok pong");
+  EXPECT_EQ(client.read_line(), "ok bye");
+  EXPECT_TRUE(client.at_eof());
+}
+
+// --- phd2 binary connections ------------------------------------------------
 
 TEST_F(ServeConnectionTest, BinaryClassifyIsBitIdenticalToOfflineBatch) {
   Harness harness(registry_);
@@ -345,10 +392,14 @@ TEST_F(ServeConnectionTest, PeerVanishingMidFrameClosesWithoutAResponse) {
   const std::string wire = format_binary_classify_request("subj0", query_trials());
   client.send(wire.substr(0, wire.size() / 2));
   // Close mid-frame: nothing can be answered, the server must just drop
-  // the connection (the Harness destructor would hang if it did not).
+  // the connection and keep serving everyone else.
+  client.close_now();
+  Client next = harness.connect();
+  next.send("phd1 ping\n");
+  EXPECT_EQ(next.read_line(), "ok pong");
 }
 
-// --- streaming sessions over the same serve_connection loop ----------------
+// --- streaming sessions -----------------------------------------------------
 
 /// A deterministic 4-channel sample stream for streaming tests.
 std::vector<hd::Sample> sample_stream(std::size_t samples) {
@@ -492,17 +543,6 @@ TEST_F(ServeConnectionTest, StreamLifecycleErrorsAnswerBadStream) {
   EXPECT_EQ(client.read_line(), "ok stream-open model=ngram3 window=3 hop=3");
   client.send("phd1 quit\n");
   EXPECT_EQ(client.read_line(), "ok bye");
-}
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0)
-      << std::strerror(errno);
-  return fd;
 }
 
 TEST(ServeListener, UnixSocketEndToEnd) {
