@@ -14,6 +14,7 @@
 #include "hd/encoder.hpp"
 #include "hd/serialization.hpp"
 #include "serve/protocol.hpp"
+#include "tests/hd/reference_encoder.hpp"
 
 namespace pulphd::fuzz {
 namespace {
@@ -216,7 +217,9 @@ int stream_one_input(const std::uint8_t* data, std::size_t size) {
 
   // Pass 1: differential op interpreter. A shadow buffer replays the exact
   // samples pushed so far; every window the session emits must be
-  // bit-identical to encode_query over the shadow's buffered slice, and
+  // bit-identical to the reference encoder's query over the shadow's
+  // buffered slice (never HdClassifier::encode_query, which is itself a
+  // StreamingEncoder), and
   // the lifecycle counters must track the shadow exactly.
   {
     hd::StreamingEncoder session = clf.make_streaming_encoder();
@@ -258,7 +261,7 @@ int stream_one_input(const std::uint8_t* data, std::size_t size) {
             FUZZ_ASSERT(start + window <= shadow.size());
             const hd::Trial slice(shadow.begin() + static_cast<std::ptrdiff_t>(start),
                                   shadow.begin() + static_cast<std::ptrdiff_t>(start + window));
-            FUZZ_ASSERT(query == clf.encode_query(slice));
+            FUZZ_ASSERT(query == hd::reference::encode_query(clf, slice));
             ++windows;
           }
           // Every completed window was emitted: the next one is the first

@@ -1,5 +1,7 @@
 #include "hd/classifier.hpp"
 
+#include <utility>
+
 #include "common/status.hpp"
 #include "common/thread_pool.hpp"
 
@@ -27,14 +29,13 @@ HdClassifier::HdClassifier(const ClassifierConfig& config)
       cim_(config_.levels, config_.dim, config_.min_value, config_.max_value,
            derive_seed(config_.seed, "continuous-item-memory")),
       spatial_(im_, cim_, config_.channels),
-      fused_(spatial_, config_.ngram),
       am_(config_.classes, config_.dim, derive_seed(config_.seed, "am-tie-break")),
       query_tie_break_(config_.dim) {
   Xoshiro256StarStar rng(derive_seed(config_.seed, "query-tie-break"));
   query_tie_break_ = Hypervector::random(config_.dim, rng);
 }
 
-// The copy/move special members rebind spatial_/fused_ onto the
+// The copy/move special members rebind spatial_ onto the
 // destination's own im_/cim_ (they are non-owning views); the re-run
 // constructor validations only re-check invariants that already held on
 // the source, so the noexcept move cannot actually throw.
@@ -44,7 +45,6 @@ HdClassifier::HdClassifier(const HdClassifier& other)
       im_(other.im_),
       cim_(other.cim_),
       spatial_(im_, cim_, config_.channels),
-      fused_(spatial_, config_.ngram),
       am_(other.am_),
       query_tie_break_(other.query_tie_break_) {}
 
@@ -53,7 +53,6 @@ HdClassifier::HdClassifier(HdClassifier&& other) noexcept
       im_(std::move(other.im_)),
       cim_(std::move(other.cim_)),
       spatial_(im_, cim_, config_.channels),
-      fused_(spatial_, config_.ngram),
       am_(std::move(other.am_)),
       query_tie_break_(std::move(other.query_tie_break_)) {}
 
@@ -63,7 +62,6 @@ HdClassifier& HdClassifier::operator=(const HdClassifier& other) {
   im_ = other.im_;
   cim_ = other.cim_;
   spatial_ = SpatialEncoder(im_, cim_, config_.channels);
-  fused_ = FusedTrialEncoder(spatial_, config_.ngram);
   am_ = other.am_;
   query_tie_break_ = other.query_tie_break_;
   return *this;
@@ -75,20 +73,39 @@ HdClassifier& HdClassifier::operator=(HdClassifier&& other) noexcept {
   im_ = std::move(other.im_);
   cim_ = std::move(other.cim_);
   spatial_ = SpatialEncoder(im_, cim_, config_.channels);
-  fused_ = FusedTrialEncoder(spatial_, config_.ngram);
   am_ = std::move(other.am_);
   query_tie_break_ = std::move(other.query_tie_break_);
   return *this;
 }
 
+namespace {
+// A whole trial as the encoder's single window (hop = window = its length):
+// one push, one query.
+Hypervector whole_trial_query(StreamingEncoder& encoder, const Trial& trial,
+                              std::vector<Hypervector>& scratch) {
+  require(trial.size() >= encoder.n(),
+          "HdClassifier::encode_query: trial shorter than N-gram window");
+  encoder.configure(trial.size(), trial.size());
+  scratch.clear();
+  encoder.push(trial, scratch);
+  return std::move(scratch.front());
+}
+}  // namespace
+
 std::vector<Hypervector> HdClassifier::encode_trial(const Trial& trial) const {
-  return fused_.encode_ngrams(trial);
+  // One-gram windows at hop 1: window j is exactly N-gram j.
+  StreamingEncoder encoder = make_streaming_encoder();
+  encoder.configure(config_.ngram, 1);
+  std::vector<Hypervector> grams;
+  if (trial.size() >= config_.ngram) grams.reserve(trial.size() - config_.ngram + 1);
+  encoder.push(trial, grams);
+  return grams;
 }
 
 Hypervector HdClassifier::encode_query(const Trial& trial) const {
-  require(trial.size() >= config_.ngram,
-          "HdClassifier::encode_query: trial shorter than N-gram window");
-  return fused_.encode_query(trial, query_tie_break_);
+  StreamingEncoder encoder = make_streaming_encoder();
+  std::vector<Hypervector> scratch;
+  return whole_trial_query(encoder, trial, scratch);
 }
 
 void HdClassifier::train(const Trial& trial, std::size_t label) {
@@ -111,7 +128,12 @@ std::vector<Hypervector> HdClassifier::encode_trials(std::span<const Trial> tria
   parallel_shards(
       config_.threads, trials.size(),
       [&](std::size_t begin, std::size_t end) {
-        for (std::size_t t = begin; t < end; ++t) queries[t] = encode_query(trials[t]);
+        // One encoder per shard, reconfigured for every trial's length.
+        StreamingEncoder encoder = make_streaming_encoder();
+        std::vector<Hypervector> scratch;
+        for (std::size_t t = begin; t < end; ++t) {
+          queries[t] = whole_trial_query(encoder, trials[t], scratch);
+        }
       },
       /*shards_per_thread=*/4);
   return queries;

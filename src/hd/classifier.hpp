@@ -30,9 +30,14 @@ struct ClassifierConfig {
   std::size_t ngram = 1;         ///< temporal window N (EMG: 1, EEG: up to 29)
   std::size_t classes = 5;       ///< output classes (4 gestures + rest)
   std::uint64_t seed = 0x9d1feed5ULL;  ///< master seed
-  /// Host threads for the batch encode/classify paths (a runtime knob, not
-  /// part of the model — never serialized). 1 = serial, 0 = one per
-  /// hardware thread. Any value yields bit-identical results.
+  /// Parallelism of the batch encode/classify paths (a runtime knob, not
+  /// part of the model — never serialized). 1 runs serially on the caller;
+  /// 0 means one per hardware thread. Any value T > 1 sets a shard count,
+  /// not a thread cap: encode_trials cuts its trials into 4T shards and the
+  /// AM batch search its queries into T, all queued on the process-wide
+  /// pool (hardware threads - 1 workers, the caller helping), so every
+  /// T > 1 may occupy all pool workers. Any value yields bit-identical
+  /// results.
   std::size_t threads = 1;
 
   /// Validates ranges; throws std::invalid_argument on nonsense.
@@ -57,9 +62,9 @@ class HdClassifier {
  public:
   explicit HdClassifier(const ClassifierConfig& config);
 
-  /// The classifier owns its IM/CIM and `spatial_`/`fused_` are views into
-  /// them, so the compiler-generated copy/move would leave the destination's
-  /// encoders pointing into the source object (a dangling pointer once the
+  /// The classifier owns its IM/CIM and `spatial_` is a view into them, so
+  /// the compiler-generated copy/move would leave the destination's
+  /// encoder pointing into the source object (a dangling pointer once the
   /// source dies — e.g. a classifier moved into a model registry). These
   /// rebind the encoder views onto the destination's own memories.
   HdClassifier(const HdClassifier& other);
@@ -79,14 +84,15 @@ class HdClassifier {
   const SpatialEncoder& spatial_encoder() const noexcept { return spatial_; }
 
   /// Encodes a trial into its sequence of N-gram hypervectors (one per
-  /// complete window; empty when the trial is shorter than N). Trials are
-  /// encoded in one fused pass — packed spatial encode feeding the sliding
-  /// N-gram recurrence — bit-identical to the sample-at-a-time chain.
+  /// complete window; empty when the trial is shorter than N): a
+  /// StreamingEncoder configured to one-gram windows at hop 1, so window j
+  /// is N-gram j.
   std::vector<Hypervector> encode_trial(const Trial& trial) const;
 
   /// Bundles a trial's N-gram hypervectors into a single query hypervector
   /// — how both prototypes and queries are formed "in an identical way"
-  /// (§2.1.1). The N-grams bundle into bit-sliced counter planes as they are
+  /// (§2.1.1). A StreamingEncoder whose single window is the whole trial
+  /// bundles the N-grams into bit-sliced counter planes as they are
   /// produced, so neither the spatial nor the N-gram sequence is ever
   /// materialized. Throws when the trial is shorter than N samples.
   Hypervector encode_query(const Trial& trial) const;
@@ -119,16 +125,17 @@ class HdClassifier {
   }
 
   /// The seed-derived tie-break row used when bundling a query's N-grams
-  /// (even gram counts only) — the one StreamingEncoder must share to stay
-  /// bit-identical with encode_query.
+  /// (even gram counts only); every StreamingEncoder this model builds
+  /// carries a copy.
   const Hypervector& query_tie_break() const noexcept { return query_tie_break_; }
 
-  /// Builds a streaming session encoder bound to this model's spatial
-  /// encoder, N-gram depth, and query tie-break. Its per-window queries are
-  /// bit-identical to encode_query over the equivalent buffered slices, so
-  /// predict_encoded on them matches predict_batch. The classifier must
-  /// outlive the returned encoder (servers pin the model snapshot for the
-  /// session's lifetime).
+  /// Builds a trial encoder bound to this model's spatial encoder, N-gram
+  /// depth, and query tie-break — the one every encode above configures.
+  /// For a stream session, its per-window queries are bit-identical to
+  /// encode_query over the equivalent buffered slices, so predict_encoded
+  /// on them matches predict_batch. The classifier must outlive the
+  /// returned encoder (servers pin the model snapshot for the session's
+  /// lifetime).
   StreamingEncoder make_streaming_encoder() const {
     return StreamingEncoder(spatial_, config_.ngram, query_tie_break_);
   }
@@ -140,7 +147,6 @@ class HdClassifier {
   ItemMemory im_;
   ContinuousItemMemory cim_;
   SpatialEncoder spatial_;
-  FusedTrialEncoder fused_;
   AssociativeMemory am_;
   Hypervector query_tie_break_;
 };

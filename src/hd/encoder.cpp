@@ -1,7 +1,6 @@
 #include "hd/encoder.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/status.hpp"
@@ -31,70 +30,10 @@ SpatialArena& spatial_arena() {
 // cache-resident (in words; 256 Ki words = 1 MiB).
 constexpr std::size_t kArenaWordBudget = std::size_t{1} << 18;
 
-// Samples the fused trial pass spatial-encodes per chunk: large enough to
+// Samples StreamingEncoder::push spatial-encodes per chunk: large enough to
 // amortize the packed gather, small enough (~80 KiB of hypervectors at the
 // paper's D) to stay cache-resident.
-constexpr std::size_t kFusedChunkSamples = 64;
-
-// Per-thread scratch of the fused trial pass: the spatial chunk buffer, the
-// temporal recurrence state, and the counter planes. Rebuilt only when the
-// encoder geometry (dim, n) changes; concurrent encode_trials shards each
-// own one, so a trial encode is allocation-free after warmup.
-struct FusedArena {
-  std::vector<Hypervector> spatials;
-  std::optional<TemporalEncoder> temporal;
-  std::optional<Hypervector> gram;
-  kernels::CounterBundle counters;
-
-  Hypervector& gram_for(std::size_t dim) {
-    if (!gram || gram->dim() != dim) gram.emplace(dim);
-    return *gram;
-  }
-
-  TemporalEncoder& temporal_for(std::size_t n, std::size_t dim) {
-    if (!temporal || temporal->n() != n || temporal->dim() != dim) {
-      temporal.emplace(n, dim);
-    } else {
-      temporal->reset();
-    }
-    return *temporal;
-  }
-
-  std::span<Hypervector> spatials_for(std::size_t count, std::size_t dim) {
-    if (spatials.size() < count || (!spatials.empty() && spatials.front().dim() != dim)) {
-      spatials.assign(count, Hypervector(dim));
-    }
-    return std::span<Hypervector>(spatials.data(), count);
-  }
-};
-
-FusedArena& fused_arena() {
-  static thread_local FusedArena arena;
-  return arena;
-}
-
-// The shared gram pump of the fused and streaming paths: chunked packed
-// spatial encode feeding the sliding N-gram recurrence, one callback per
-// complete window. `temporal` carries state across calls (the streaming
-// path resumes it mid-stream; the fused path hands in a freshly reset one),
-// and with n == 1 it is bypassed entirely — every spatial is its own
-// 1-gram.
-template <typename PerGram>
-void pump_grams(const SpatialEncoder& spatial, std::size_t n, TemporalEncoder& temporal,
-                std::span<Hypervector> chunk_buf, Hypervector& gram_scratch,
-                std::span<const std::vector<float>> samples, PerGram&& per_gram) {
-  for (std::size_t base = 0; base < samples.size(); base += chunk_buf.size()) {
-    const std::size_t chunk = std::min(chunk_buf.size(), samples.size() - base);
-    spatial.encode_batch(samples.subspan(base, chunk), chunk_buf.subspan(0, chunk));
-    for (std::size_t s = 0; s < chunk; ++s) {
-      if (n == 1) {
-        per_gram(chunk_buf[s]);
-      } else if (temporal.push(chunk_buf[s], &gram_scratch)) {
-        per_gram(gram_scratch);
-      }
-    }
-  }
-}
+constexpr std::size_t kPushChunkSamples = 64;
 
 }  // namespace
 
@@ -127,14 +66,7 @@ std::vector<Hypervector> SpatialEncoder::bind_channels(std::span<const float> sa
   for (std::size_t c = 0; c < channels_; ++c) {
     bound.push_back(im_->at(c) ^ cim_->encode(sample[c]));
   }
-  if (channels_ % 2 == 0) {
-    if (channels_ >= 2) {
-      bound.push_back(bound[0] ^ bound[1]);
-    } else {
-      // Unreachable (channels >= 1 and even implies >= 2); kept as a guard.
-      bound.push_back(bound[0]);
-    }
-  }
+  if (channels_ % 2 == 0) bound.push_back(bound[0] ^ bound[1]);
   return bound;
 }
 
@@ -266,9 +198,6 @@ void StreamingEncoder::configure(std::size_t window, std::size_t hop) {
   // window starts, so no per-window allocation happens mid-stream after
   // warmup.
   slots_.resize(active_windows(window, hop, n_));
-  if (chunk_.empty() || chunk_.front().dim() != dim()) {
-    chunk_.assign(kFusedChunkSamples, Hypervector(dim()));
-  }
   reset();
 }
 
@@ -279,11 +208,21 @@ void StreamingEncoder::reset() noexcept {
   windows_emitted_ = 0;
 }
 
-void StreamingEncoder::on_gram(const kernels::Backend& backend, const Word* gram_words,
+void StreamingEncoder::on_gram(const kernels::Backend& backend, const Hypervector& gram,
                                std::vector<Hypervector>& out) {
   const std::size_t j = grams_seen_++;  // gram j spans samples j .. j+n-1
-  const std::size_t words = words_for_dim(dim());
   const std::size_t span = window_ - n_;  // grams per window, minus one
+  if (span == 0) {
+    // One-gram windows (window == n, e.g. the training sequence): window
+    // j / hop is gram j alone, and a majority of one row is that row, so
+    // skip the counter round trip.
+    if (j % hop_ == 0) {
+      out.push_back(gram);
+      ++windows_emitted_;
+    }
+    return;
+  }
+  const std::size_t words = words_for_dim(dim());
   // Window w owns grams w*hop .. w*hop + span; gram j therefore feeds every
   // window whose start lies in [j - span, j] on the hop grid. The slot pool
   // holds exactly that many bundles, so w % slots size is collision-free.
@@ -293,12 +232,13 @@ void StreamingEncoder::on_gram(const kernels::Backend& backend, const Word* gram
   const std::size_t w_hi = j / hop_;
   const std::size_t w_lo = j >= span ? (j - span + hop_ - 1) / hop_ : 0;
   for (std::size_t w = w_lo; w <= w_hi; ++w) {
-    slots_[w % slots_.size()].add(backend, gram_words);
+    slots_[w % slots_.size()].add(backend, gram.words().data());
   }
   if (j >= span && (j - span) % hop_ == 0) {
     // Gram j is the last of window (j - span) / hop — read its bundle out.
-    // Padding invariants match FusedTrialEncoder::encode_query: gram and
-    // tie-break padding bits are zero, so the majority's are too.
+    // Gram and tie-break padding bits are zero, their counters stay zero,
+    // and zero never exceeds the threshold, so the majority's padding is
+    // zero too.
     out.emplace_back(dim());
     slots_[((j - span) / hop_) % slots_.size()].majority(backend, tie_break_.words().data(),
                                                          out.back().mutable_words().data());
@@ -311,60 +251,24 @@ std::size_t StreamingEncoder::push(std::span<const std::vector<float>> samples,
   require(configured(), "StreamingEncoder::push: configure() must be called first");
   const std::size_t emitted_before = out.size();
   const kernels::Backend& backend = kernels::active_backend();
-  pump_grams(*spatial_, n_, temporal_, std::span<Hypervector>(chunk_), gram_, samples,
-             [&](const Hypervector& gram) { on_gram(backend, gram.words().data(), out); });
+  const std::size_t chunk_cap = std::min(kPushChunkSamples, samples.size());
+  if (chunk_.size() < chunk_cap) chunk_.resize(chunk_cap, Hypervector(dim()));
+  // Chunked packed spatial encode feeding the sliding N-gram recurrence;
+  // with n == 1 the ring is bypassed, every spatial being its own 1-gram.
+  for (std::size_t base = 0; base < samples.size(); base += chunk_cap) {
+    const std::size_t chunk = std::min(chunk_cap, samples.size() - base);
+    spatial_->encode_batch(samples.subspan(base, chunk),
+                           std::span<Hypervector>(chunk_).subspan(0, chunk));
+    for (std::size_t s = 0; s < chunk; ++s) {
+      if (n_ == 1) {
+        on_gram(backend, chunk_[s], out);
+      } else if (temporal_.push(chunk_[s], &gram_)) {
+        on_gram(backend, gram_, out);
+      }
+    }
+  }
   samples_pushed_ += samples.size();
   return out.size() - emitted_before;
-}
-
-FusedTrialEncoder::FusedTrialEncoder(const SpatialEncoder& spatial, std::size_t n)
-    : spatial_(&spatial), n_(n) {
-  require(n >= 1, "FusedTrialEncoder: n must be >= 1");
-}
-
-template <typename PerGram>
-void FusedTrialEncoder::for_each_ngram(std::span<const std::vector<float>> trial,
-                                       PerGram&& per_gram) const {
-  if (trial.empty()) return;
-  FusedArena& arena = fused_arena();
-  const std::size_t chunk_samples = std::min<std::size_t>(kFusedChunkSamples, trial.size());
-  std::span<Hypervector> spatials = arena.spatials_for(chunk_samples, dim());
-  // The n == 1 pass-through inside the pump never touches the temporal
-  // ring, so the arena encoder (and its reset) is only materialized for
-  // real windows.
-  TemporalEncoder& temporal = arena.temporal_for(n_ == 1 ? 1 : n_, dim());
-  pump_grams(*spatial_, n_, temporal, spatials, arena.gram_for(dim()), trial,
-             std::forward<PerGram>(per_gram));
-}
-
-Hypervector FusedTrialEncoder::encode_query(std::span<const std::vector<float>> trial,
-                                            const Hypervector& tie_break) const {
-  const std::size_t grams = ngram_count(trial.size());
-  require(grams >= 1, "FusedTrialEncoder::encode_query: trial shorter than N-gram window");
-  require(tie_break.dim() == dim(), "FusedTrialEncoder::encode_query: tie-break dim mismatch");
-  const kernels::Backend& backend = kernels::active_backend();
-  FusedArena& arena = fused_arena();
-  arena.counters.reset(words_for_dim(dim()), grams);
-  for_each_ngram(trial, [&](const Hypervector& gram) {
-    arena.counters.add(backend, gram.words().data());
-  });
-  Hypervector out(dim());
-  // N-gram padding bits are zero, their counters stay zero, and zero never
-  // exceeds the threshold; the tie-break's padding is zero too, so the
-  // all-counts-zero grams == 1 readout (threshold 0, odd, no tie) and every
-  // other shape keep the padding invariant.
-  arena.counters.majority(backend, tie_break.words().data(), out.mutable_words().data());
-  return out;
-}
-
-std::vector<Hypervector> FusedTrialEncoder::encode_ngrams(
-    std::span<const std::vector<float>> trial) const {
-  std::vector<Hypervector> out;
-  const std::size_t grams = ngram_count(trial.size());
-  if (grams == 0) return out;
-  out.reserve(grams);
-  for_each_ngram(trial, [&](const Hypervector& gram) { out.push_back(gram); });
-  return out;
 }
 
 }  // namespace pulphd::hd

@@ -114,12 +114,16 @@ class TemporalEncoder {
   Hypervector rotated_new_;
 };
 
-/// Resumable per-session streaming encoder — the fused pipeline (packed
-/// spatial chunks -> sliding N-gram recurrence -> bit-sliced counter
-/// bundling) restructured as an explicit configure/push/emit/reset state
-/// object, so an always-on client can feed samples as they arrive and
-/// collect one bundled query hypervector per hop instead of buffering a
-/// whole trial.
+/// The trial encoder: packed spatial chunks -> sliding N-gram recurrence ->
+/// bit-sliced counter bundling, as an explicit configure/push/emit/reset
+/// state object. Every trial encode in the library is one configuration of
+/// it:
+///   - a served stream: configure(window, hop) once and push samples as they
+///     arrive, collecting one bundled query hypervector per hop;
+///   - a batch query: configure(len, len) and push the whole len-sample
+///     trial, which emits exactly one window — the trial's query;
+///   - a training sequence: configure(n, 1) and push the trial, which emits
+///     one window per N-gram, each the gram itself.
 ///
 /// Lifecycle: construct against a model's spatial encoder, N-gram depth and
 /// query tie-break, then `configure(window, hop)` the sliding decision
@@ -129,16 +133,15 @@ class TemporalEncoder {
 /// can be reused, and re-`configure` reshapes it mid-stream.
 ///
 /// Window w covers samples [w*hop, w*hop + window); its query is the
-/// majority bundle of the window's N-grams, bit-identical to
-/// FusedTrialEncoder::encode_query (and thus HdClassifier::encode_query)
-/// over the equivalent buffered slice — the N-gram at position j depends
-/// only on samples j..j+n-1, so the continuous recurrence and a fresh
-/// per-slice pass produce the same bits (pinned by
-/// tests/hd/streaming_encoder_test). All state (the n-deep temporal ring,
-/// the spatial chunk buffer, and one bit-sliced counter bundle per
-/// concurrently open window) is owned by the object and carried across
-/// pushes, so a session may migrate between threads as long as calls are
-/// externally serialized.
+/// majority bundle of the window's N-grams, bit-identical to the
+/// sample-at-a-time reference chain (tests/hd/reference_encoder.hpp) over
+/// the equivalent buffered slice — the N-gram at position j depends only on
+/// samples j..j+n-1, so the continuous recurrence and a fresh per-slice pass
+/// produce the same bits (pinned by tests/hd/streaming_encoder_test). All
+/// state (the n-deep temporal ring, the spatial chunk buffer, and one
+/// bit-sliced counter bundle per concurrently open window) is owned by the
+/// object and carried across pushes, so a session may migrate between
+/// threads as long as calls are externally serialized.
 class StreamingEncoder {
  public:
   /// `spatial` must outlive the encoder; `n` is the temporal window size and
@@ -186,7 +189,7 @@ class StreamingEncoder {
   std::size_t push(std::span<const std::vector<float>> samples, std::vector<Hypervector>& out);
 
  private:
-  void on_gram(const kernels::Backend& backend, const Word* gram_words,
+  void on_gram(const kernels::Backend& backend, const Hypervector& gram,
                std::vector<Hypervector>& out);
 
   const SpatialEncoder* spatial_;
@@ -195,57 +198,12 @@ class StreamingEncoder {
   std::size_t window_ = 0;  ///< 0 = not configured
   std::size_t hop_ = 0;
   TemporalEncoder temporal_;               ///< preallocated n-deep ring
-  std::vector<Hypervector> chunk_;         ///< spatial chunk buffer
+  std::vector<Hypervector> chunk_;         ///< spatial chunk buffer, grown on demand
   Hypervector gram_;                       ///< recurrence output scratch
   std::vector<kernels::CounterBundle> slots_;  ///< one per concurrently open window
   std::size_t samples_pushed_ = 0;
   std::size_t grams_seen_ = 0;
   std::size_t windows_emitted_ = 0;
-};
-
-/// Fused single-pass trial encoder: quantize/bind/majority (spatial), the
-/// sliding N-gram recurrence (temporal), and bit-sliced counter bundling in
-/// one chunked pass over a trial, all through the dispatched kernel
-/// backend. Produces exactly the hypervectors of the sample-at-a-time
-/// SpatialEncoder -> TemporalEncoder -> BundleAccumulator chain (the test
-/// oracle in tests/hd/reference_encoder.hpp) without ever materializing the
-/// trial's spatial or N-gram sequences: peak scratch is one sample chunk,
-/// the n-slot window, and ceil(log2(grams + 1)) counter planes, all owned
-/// by a per-thread arena so concurrent encode_trials shards never allocate
-/// after warmup.
-class FusedTrialEncoder {
- public:
-  /// `spatial` must outlive the encoder; `n` is the temporal window size.
-  FusedTrialEncoder(const SpatialEncoder& spatial, std::size_t n);
-
-  std::size_t n() const noexcept { return n_; }
-  std::size_t dim() const noexcept { return spatial_->dim(); }
-
-  /// N-grams a trial of `samples` samples yields: samples - n + 1, or 0
-  /// when the trial is shorter than the window.
-  std::size_t ngram_count(std::size_t samples) const noexcept {
-    return samples < n_ ? 0 : samples - n_ + 1;
-  }
-
-  /// Bundled query hypervector of a whole trial — the fused equivalent of
-  /// encoding every N-gram and majority-bundling them with `tie_break`
-  /// breaking exact ties (even N-gram counts). Throws when the trial is
-  /// shorter than n samples. Thread-safe: concurrent calls share nothing
-  /// but the immutable model memories.
-  Hypervector encode_query(std::span<const std::vector<float>> trial,
-                           const Hypervector& tie_break) const;
-
-  /// The trial's N-gram sequence via the same fused pass (the training
-  /// path, which needs every N-gram, not their bundle). Empty when the
-  /// trial is shorter than n.
-  std::vector<Hypervector> encode_ngrams(std::span<const std::vector<float>> trial) const;
-
- private:
-  template <typename PerGram>
-  void for_each_ngram(std::span<const std::vector<float>> trial, PerGram&& per_gram) const;
-
-  const SpatialEncoder* spatial_;
-  std::size_t n_;
 };
 
 }  // namespace pulphd::hd

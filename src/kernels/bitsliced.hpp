@@ -33,10 +33,10 @@ void majority_range_bitsliced(sim::CoreContext& ctx,
 /// saturating: ceil(log2(adds + 1)), and at least 1.
 unsigned counter_planes_for(std::size_t adds) noexcept;
 
-/// Host-side saturating bit-sliced counter bundle — the accumulator of the
-/// fused trial encoder. Rows stream in one at a time through the dispatched
-/// Backend::accumulate_counters kernel into plane-major vertical-counter
-/// storage; `majority()` reads the bundled hypervector back out through
+/// Host-side saturating bit-sliced counter bundle — the per-window
+/// accumulator of hd::StreamingEncoder, the trial encoder. Rows stream in
+/// one at a time through the dispatched Backend::accumulate_counters kernel
+/// into plane-major vertical-counter storage; `majority()` reads the bundled hypervector back out through
 /// Backend::counters_to_majority. Bit-exact with hd::BundleAccumulator over
 /// the same rows (verified in tests), at word rather than set-bit
 /// granularity and with O(planes * words) state instead of O(dim) 32-bit
@@ -52,8 +52,8 @@ class CounterBundle {
   /// Accumulates one packed row of `words()` words. Adding more rows than
   /// `reset` provisioned saturates the affected columns and (because the
   /// readout threshold would no longer fit the planes) makes majority()
-  /// throw — size reset() to the exact add count, as the fused encoder
-  /// does.
+  /// throw — size reset() to the exact add count, as the trial encoder
+  /// does (its N-grams per window).
   void add(const Backend& backend, const Word* row);
 
   std::size_t words() const noexcept { return words_; }

@@ -809,8 +809,8 @@ struct ClassifyServer::RequestHandler {
         }
       }
     }
-    // The bit-identical offline batch path: parallel fused encode across
-    // the classifier's host threads, then the word-parallel AM kernel.
+    // The bit-identical offline batch path: trial encodes sharded across
+    // the classifier's pool shards, then the word-parallel AM kernel.
     const std::vector<hd::AmDecision> decisions = entry->classifier.predict_batch(classify.trials);
     return encoder.classify(entry->name, decisions);
   }

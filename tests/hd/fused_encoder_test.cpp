@@ -1,8 +1,9 @@
-// Bit-exactness of HdClassifier's fused single-pass trial encoding against
-// the sample-at-a-time reference chain (reference_encoder.hpp), across every
-// compiled+supported backend, n-gram sizes 1/3/5, trial lengths
-// shorter/equal/longer than n, odd/even channel counts and 1/2/4 thread
-// counts; plus the pieces it is built from: rotate_into vs rotated, the
+// Bit-exactness of HdClassifier's trial encoding (StreamingEncoder
+// configured to one whole-trial window for queries, one-gram windows for
+// training sequences) against the sample-at-a-time reference chain
+// (reference_encoder.hpp), across every compiled+supported backend, n-gram
+// sizes 1/3/5, trial lengths shorter/equal/longer than n, odd/even channel
+// counts and 1/2/4 thread counts; plus the pieces it is built from: rotate_into vs rotated, the
 // sliding N-gram recurrence vs the direct reduction, and CounterBundle vs
 // BundleAccumulator.
 #include <gtest/gtest.h>
@@ -194,9 +195,10 @@ TEST(FusedTrialEncoding, BitExactWithLegacyAcrossBackendsNgramsAndLengths) {
   }
 }
 
-// The fused pipeline against a from-first-principles sample-at-a-time
-// reference (per-sample spatial encode, per-window hd::ngram, per-component
-// BundleAccumulator) rather than the batch reference chain.
+// HdClassifier's trial encoding against a from-first-principles
+// sample-at-a-time reference (per-sample spatial encode, per-window
+// hd::ngram, per-component BundleAccumulator) rather than the batch
+// reference chain.
 TEST(FusedTrialEncoding, MatchesSampleAtATimeReference) {
   Xoshiro256StarStar rng(0xf0006);
   ClassifierConfig cfg;

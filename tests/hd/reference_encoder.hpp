@@ -1,9 +1,11 @@
 // Test-only reference trial encoder: the sample-at-a-time composition of the
 // processing chain (Fig. 1) — SpatialEncoder::encode_batch over the whole
 // trial, then a TemporalEncoder sliding over the spatial sequence, then a
-// BundleAccumulator over the N-grams. HdClassifier encodes trials in one
-// fused pass instead; this chain stays as the oracle that pass must match
-// bit for bit.
+// BundleAccumulator over the N-grams. The library encodes every trial
+// through StreamingEncoder's chunked pass instead (HdClassifier's batch and
+// training paths are configurations of it), so this chain is the
+// independent oracle that pass must match bit for bit; tests never compare
+// a StreamingEncoder against HdClassifier::encode_query.
 #pragma once
 
 #include <span>

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Keeps the docs/ tree honest. Three checks, stdlib only:
+"""Keeps the docs/ tree honest. Six checks, stdlib only:
 
 1. Every relative markdown link in README.md and docs/*.md resolves to a
    real file.
@@ -23,6 +23,13 @@
    point name is documented, and every dotted backticked name the doc
    presents as a failpoint is actually registered — both directions, so a
    stale doc or an undocumented probe fails CI.
+6. Every backticked CamelCase C++ identifier in README.md and docs/*.md
+   (`Type` or a `::`-qualified form such as `Type::member`; CamelCase
+   meaning it starts with an uppercase letter and contains a lowercase
+   one, so all-caps tokens like `NULL` are exempt) names something that
+   still exists: each of its `::` components must appear as a word in
+   src/, tests/, bench/, tools/, fuzz/ or examples/. A doc that still
+   describes a deleted type fails CI.
 
 Exit code 0 = all good; 1 = findings (printed one per line).
 """
@@ -224,12 +231,55 @@ def check_development_lockstep():
     return problems
 
 
+FENCE_RE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+QUALIFIED_IDENT_RE = re.compile(r"`((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*)(?:\(\))?`")
+WORD_RE = re.compile(r"[A-Za-z_]\w*")
+SOURCE_DIRS = ("src", "tests", "bench", "tools", "fuzz", "examples")
+
+
+def is_camel_case(name):
+    return name[:1].isupper() and any(c.islower() for c in name)
+
+
+def source_words():
+    words = set()
+    for top in SOURCE_DIRS:
+        for path in (REPO / top).rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                words.update(WORD_RE.findall(path.read_text(encoding="utf-8", errors="ignore")))
+    return words
+
+
+def check_identifiers(docs, words):
+    """docs: (name, text) pairs; words: every identifier-like word in the sources."""
+    problems = []
+    for name, text in docs:
+        seen = set()
+        for ident in QUALIFIED_IDENT_RE.findall(FENCE_RE.sub("", text)):
+            parts = ident.split("::")
+            if ident in seen or not any(is_camel_case(part) for part in parts):
+                continue
+            seen.add(ident)
+            missing = [part for part in parts if part not in words]
+            if missing:
+                problems.append(
+                    f"{name}: `{ident}` names no identifier in the sources "
+                    f"(missing: {', '.join(missing)})"
+                )
+    return problems
+
+
+def check_doc_identifiers():
+    docs = [(str(doc.relative_to(REPO)), doc.read_text(encoding="utf-8")) for doc in doc_files()]
+    return check_identifiers(docs, source_words())
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cli", help="path to a built pulphd_cli for the help-sync check")
     options = parser.parse_args()
     problems = (check_links() + check_protocol_lockstep() + check_development_lockstep()
-                + check_failpoint_lockstep())
+                + check_failpoint_lockstep() + check_doc_identifiers())
     if options.cli:
         problems += check_cli_help(options.cli)
     for problem in problems:
@@ -237,7 +287,8 @@ def main():
     if problems:
         print(f"{len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
-    checked = "links + protocol lockstep + tidy/fuzz lockstep + failpoint lockstep" + (
+    checked = ("links + protocol lockstep + tidy/fuzz lockstep + failpoint lockstep"
+               " + doc identifiers") + (
         " + CLI help sync" if options.cli else "")
     print(f"docs OK ({checked})")
     return 0
