@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -90,12 +93,77 @@ void drive_session(const std::uint8_t* data, std::size_t size,
   }
 }
 
+/// Same blocks, bit for bit (so -0.0 != 0.0 here).
+bool same_bits(std::span<const hd::Trial> a, std::span<const hd::Trial> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    if (a[t].size() != b[t].size()) return false;
+    for (std::size_t s = 0; s < a[t].size(); ++s) {
+      const hd::Sample& x = a[t][s];
+      const hd::Sample& y = b[t][s];
+      if (x.size() != y.size() || std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Cross-wire property: a classify or stream-push the text parser decoded
+/// re-encodes with the phd2 formatters and decodes to the same model and
+/// bit-identical samples. A block phd2 cannot carry (ragged samples, more
+/// than 65,535 channels) must make the formatter throw instead.
+void check_binary_round_trip(const serve::Request& request) {
+  const auto* classify = std::get_if<serve::ClassifyRequest>(&request);
+  const auto* push = std::get_if<serve::StreamPushRequest>(&request);
+  if (classify == nullptr && push == nullptr) return;
+  const std::span<const hd::Trial> blocks =
+      classify != nullptr ? std::span<const hd::Trial>(classify->trials)
+                          : std::span<const hd::Trial>(&push->samples, 1);
+  const bool representable =
+      std::all_of(blocks.begin(), blocks.end(), [](const hd::Trial& block) {
+        const std::size_t channels = block.front().size();
+        return channels <= 0xFFFF &&
+               std::all_of(block.begin(), block.end(),
+                           [channels](const hd::Sample& s) { return s.size() == channels; });
+      });
+  std::string wire;
+  try {
+    wire = classify != nullptr
+               ? serve::format_binary_classify_request(classify->model, classify->trials)
+               : serve::format_binary_stream_push_request(push->samples);
+  } catch (const std::invalid_argument&) {
+    FUZZ_ASSERT(!representable);
+    return;
+  }
+  FUZZ_ASSERT(representable);
+  serve::BinaryRequestParser parser;
+  parser.feed(wire);
+  std::optional<serve::Request> decoded;
+  try {
+    decoded = parser.next();
+  } catch (const CodedError&) {
+    fail("phd2 re-encoding of a decoded phd1 request does not decode");
+  }
+  FUZZ_ASSERT(decoded.has_value() && parser.idle());
+  if (classify != nullptr) {
+    const auto* back = std::get_if<serve::ClassifyRequest>(&*decoded);
+    FUZZ_ASSERT(back != nullptr && back->model == classify->model);
+    FUZZ_ASSERT(same_bits(back->trials, classify->trials));
+  } else {
+    const auto* back = std::get_if<serve::StreamPushRequest>(&*decoded);
+    FUZZ_ASSERT(back != nullptr);
+    FUZZ_ASSERT(same_bits(std::span<const hd::Trial>(&back->samples, 1), blocks));
+  }
+}
+
 }  // namespace
 
 int phd1_one_input(const std::uint8_t* data, std::size_t size) {
   // Pass 1: the line-level RequestParser, exactly as ConnectionSession
   // feeds it (terminators stripped). consume_line documents reset-before-throw,
-  // so after any CodedError the parser must be idle again.
+  // so after any CodedError the parser must be idle again. Every decoded
+  // sample-carrying request must also survive the trip to phd2 and back.
   {
     serve::RequestParser parser;
     const std::string_view input = as_view(data, size);
@@ -104,12 +172,14 @@ int phd1_one_input(const std::uint8_t* data, std::size_t size) {
       const std::size_t nl = input.find('\n', start);
       const std::string_view line =
           input.substr(start, nl == std::string_view::npos ? input.size() - start : nl - start);
+      std::optional<serve::Request> request;
       try {
-        (void)parser.consume_line(line);
+        request = parser.consume_line(line);
       } catch (const CodedError&) {
         FUZZ_ASSERT(parser.idle());
         if (parser.framing_lost()) break;
       }
+      if (request) check_binary_round_trip(*request);
       if (nl == std::string_view::npos) break;
       start = nl + 1;
     }

@@ -28,54 +28,10 @@ HdClassifier::HdClassifier(const ClassifierConfig& config)
       im_(config_.channels, config_.dim, derive_seed(config_.seed, "item-memory")),
       cim_(config_.levels, config_.dim, config_.min_value, config_.max_value,
            derive_seed(config_.seed, "continuous-item-memory")),
-      spatial_(im_, cim_, config_.channels),
       am_(config_.classes, config_.dim, derive_seed(config_.seed, "am-tie-break")),
       query_tie_break_(config_.dim) {
   Xoshiro256StarStar rng(derive_seed(config_.seed, "query-tie-break"));
   query_tie_break_ = Hypervector::random(config_.dim, rng);
-}
-
-// The copy/move special members rebind spatial_ onto the
-// destination's own im_/cim_ (they are non-owning views); the re-run
-// constructor validations only re-check invariants that already held on
-// the source, so the noexcept move cannot actually throw.
-
-HdClassifier::HdClassifier(const HdClassifier& other)
-    : config_(other.config_),
-      im_(other.im_),
-      cim_(other.cim_),
-      spatial_(im_, cim_, config_.channels),
-      am_(other.am_),
-      query_tie_break_(other.query_tie_break_) {}
-
-HdClassifier::HdClassifier(HdClassifier&& other) noexcept
-    : config_(std::move(other.config_)),
-      im_(std::move(other.im_)),
-      cim_(std::move(other.cim_)),
-      spatial_(im_, cim_, config_.channels),
-      am_(std::move(other.am_)),
-      query_tie_break_(std::move(other.query_tie_break_)) {}
-
-HdClassifier& HdClassifier::operator=(const HdClassifier& other) {
-  if (this == &other) return *this;
-  config_ = other.config_;
-  im_ = other.im_;
-  cim_ = other.cim_;
-  spatial_ = SpatialEncoder(im_, cim_, config_.channels);
-  am_ = other.am_;
-  query_tie_break_ = other.query_tie_break_;
-  return *this;
-}
-
-HdClassifier& HdClassifier::operator=(HdClassifier&& other) noexcept {
-  if (this == &other) return *this;
-  config_ = std::move(other.config_);
-  im_ = std::move(other.im_);
-  cim_ = std::move(other.cim_);
-  spatial_ = SpatialEncoder(im_, cim_, config_.channels);
-  am_ = std::move(other.am_);
-  query_tie_break_ = std::move(other.query_tie_break_);
-  return *this;
 }
 
 namespace {

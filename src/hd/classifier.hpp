@@ -62,16 +62,6 @@ class HdClassifier {
  public:
   explicit HdClassifier(const ClassifierConfig& config);
 
-  /// The classifier owns its IM/CIM and `spatial_` is a view into them, so
-  /// the compiler-generated copy/move would leave the destination's
-  /// encoder pointing into the source object (a dangling pointer once the
-  /// source dies — e.g. a classifier moved into a model registry). These
-  /// rebind the encoder views onto the destination's own memories.
-  HdClassifier(const HdClassifier& other);
-  HdClassifier(HdClassifier&& other) noexcept;
-  HdClassifier& operator=(const HdClassifier& other);
-  HdClassifier& operator=(HdClassifier&& other) noexcept;
-
   const ClassifierConfig& config() const noexcept { return config_; }
 
   /// Adjusts the host-thread knob after construction (e.g. for models
@@ -81,7 +71,10 @@ class HdClassifier {
   const ContinuousItemMemory& cim() const noexcept { return cim_; }
   const AssociativeMemory& am() const noexcept { return am_; }
   AssociativeMemory& mutable_am() noexcept { return am_; }
-  const SpatialEncoder& spatial_encoder() const noexcept { return spatial_; }
+  /// A view over this classifier's IM/CIM (two pointers and a count), made
+  /// on demand so the classifier stores no pointer into itself and copies
+  /// and moves stay plain member-wise.
+  SpatialEncoder spatial_encoder() const { return SpatialEncoder(im_, cim_, config_.channels); }
 
   /// Encodes a trial into its sequence of N-gram hypervectors (one per
   /// complete window; empty when the trial is shorter than N): a
@@ -137,7 +130,7 @@ class HdClassifier {
   /// returned encoder (servers pin the model snapshot for the session's
   /// lifetime).
   StreamingEncoder make_streaming_encoder() const {
-    return StreamingEncoder(spatial_, config_.ngram, query_tie_break_);
+    return StreamingEncoder(spatial_encoder(), config_.ngram, query_tie_break_);
   }
 
   ModelFootprint footprint() const noexcept;
@@ -146,7 +139,6 @@ class HdClassifier {
   ClassifierConfig config_;
   ItemMemory im_;
   ContinuousItemMemory cim_;
-  SpatialEncoder spatial_;
   AssociativeMemory am_;
   Hypervector query_tie_break_;
 };

@@ -179,7 +179,7 @@ bool TemporalEncoder::push(const Hypervector& spatial, Hypervector* out) {
 
 StreamingEncoder::StreamingEncoder(const SpatialEncoder& spatial, std::size_t n,
                                    Hypervector tie_break)
-    : spatial_(&spatial),
+    : spatial_(spatial),
       n_(n),
       tie_break_(std::move(tie_break)),
       temporal_(n >= 1 ? n : 1, spatial.dim()),
@@ -257,8 +257,8 @@ std::size_t StreamingEncoder::push(std::span<const std::vector<float>> samples,
   // with n == 1 the ring is bypassed, every spatial being its own 1-gram.
   for (std::size_t base = 0; base < samples.size(); base += chunk_cap) {
     const std::size_t chunk = std::min(chunk_cap, samples.size() - base);
-    spatial_->encode_batch(samples.subspan(base, chunk),
-                           std::span<Hypervector>(chunk_).subspan(0, chunk));
+    spatial_.encode_batch(samples.subspan(base, chunk),
+                          std::span<Hypervector>(chunk_).subspan(0, chunk));
     for (std::size_t s = 0; s < chunk; ++s) {
       if (n_ == 1) {
         on_gram(backend, chunk_[s], out);

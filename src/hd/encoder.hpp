@@ -144,14 +144,15 @@ class TemporalEncoder {
 /// threads as long as calls are externally serialized.
 class StreamingEncoder {
  public:
-  /// `spatial` must outlive the encoder; `n` is the temporal window size and
-  /// `tie_break` the query-bundle tie-break row (copied; only consulted for
-  /// windows with an even N-gram count).
+  /// `spatial` is copied (it is a view); the IM/CIM it reads must outlive
+  /// the encoder. `n` is the temporal window size and `tie_break` the
+  /// query-bundle tie-break row (copied; only consulted for windows with an
+  /// even N-gram count).
   StreamingEncoder(const SpatialEncoder& spatial, std::size_t n, Hypervector tie_break);
 
   std::size_t n() const noexcept { return n_; }
-  std::size_t dim() const noexcept { return spatial_->dim(); }
-  std::size_t channels() const noexcept { return spatial_->channels(); }
+  std::size_t dim() const noexcept { return spatial_.dim(); }
+  std::size_t channels() const noexcept { return spatial_.channels(); }
 
   /// Overlapping windows simultaneously being bundled for a window/hop
   /// shape: floor((window - n) / hop) + 1 — the counter-slot pool size and
@@ -192,7 +193,7 @@ class StreamingEncoder {
   void on_gram(const kernels::Backend& backend, const Hypervector& gram,
                std::vector<Hypervector>& out);
 
-  const SpatialEncoder* spatial_;
+  SpatialEncoder spatial_;
   std::size_t n_;
   Hypervector tie_break_;
   std::size_t window_ = 0;  ///< 0 = not configured

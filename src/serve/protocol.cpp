@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 
 #include "common/status.hpp"
 #include "hd/serialization.hpp"
@@ -46,6 +47,13 @@ std::string_view expect_kv(std::string_view token, std::string_view key) {
   return token.substr(eq + 1);
 }
 
+/// Throws bad-request unless nothing but spaces follows on the line.
+void expect_end(std::string_view rest, std::string_view after) {
+  if (!next_token(rest).empty()) {
+    fail(kErrBadRequest, "unexpected trailing fields after " + std::string(after));
+  }
+}
+
 std::size_t parse_size(std::string_view text, std::string_view what) {
   unsigned long long value = 0;
   const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
@@ -74,7 +82,137 @@ void append_float(std::string& out, float value) {
   out += buf;
 }
 
-// --- phd2 little-endian primitives ----------------------------------------
+/// Appends `text` with CR/LF flattened to spaces, so a free-form message
+/// (an error or reload detail) never breaks its text row in two.
+void append_flattened(std::string& out, std::string_view text) {
+  for (const char c : text) out += (c == '\n' || c == '\r') ? ' ' : c;
+}
+
+// --- Request-shape bounds and names, shared by both wires -------------------
+
+void check_trial_count(std::size_t trials) {
+  if (trials == 0) fail(kErrBadRequest, "classify needs trials >= 1");
+  if (trials > kMaxTrialsPerRequest) {
+    fail(kErrTooLarge, "classify trials=" + std::to_string(trials) +
+                           " exceeds the per-request limit of " +
+                           std::to_string(kMaxTrialsPerRequest));
+  }
+}
+
+/// The bound of every sample block: a classify trial or a stream-push body.
+void check_sample_count(std::size_t samples, std::string_view kind) {
+  if (samples == 0) fail(kErrBadRequest, std::string(kind) + " needs samples >= 1");
+  if (samples > kMaxSamplesPerTrial) {
+    fail(kErrTooLarge, std::string(kind) + " samples=" + std::to_string(samples) +
+                           " exceeds the per-trial limit of " +
+                           std::to_string(kMaxSamplesPerTrial));
+  }
+}
+
+/// Model-independent stream-open shape checks. The model-dependent
+/// window >= ngram check happens at execution time.
+void validate_stream_shape(std::size_t window, std::size_t hop) {
+  if (window == 0) fail(kErrBadRequest, "stream-open needs window >= 1");
+  if (hop == 0) fail(kErrBadRequest, "stream-open needs hop >= 1");
+  if (window > kMaxSamplesPerTrial) {
+    fail(kErrTooLarge, "stream-open window=" + std::to_string(window) +
+                           " exceeds the per-trial limit of " +
+                           std::to_string(kMaxSamplesPerTrial));
+  }
+  // Upper bound of the open-window overlap over any model (n >= 1); keeps
+  // the per-session counter-slot pool small.
+  const std::size_t overlap = (window - 1) / hop + 1;
+  if (overlap > kMaxStreamActiveWindows) {
+    fail(kErrTooLarge, "stream-open window=" + std::to_string(window) +
+                           " hop=" + std::to_string(hop) + " overlaps " +
+                           std::to_string(overlap) + " windows, limit is " +
+                           std::to_string(kMaxStreamActiveWindows));
+  }
+}
+
+std::string checked_model_name(std::string_view name) {
+  std::string model(name);
+  if (!hd::is_valid_model_name(model)) {
+    fail(kErrBadRequest, "invalid model name \"" + model + "\"");
+  }
+  return model;
+}
+
+// --- phd1 text rows ---------------------------------------------------------
+
+/// Text model name: consumes an optional leading `model=` token off `rest`
+/// ("" when absent = route to the default).
+std::string take_model_token(std::string_view& rest) {
+  std::string_view after = rest;
+  const std::string_view token = next_token(after);
+  if (!token.starts_with("model=")) return {};
+  rest = after;
+  return checked_model_name(token.substr(6));
+}
+
+/// Text sample line: one float per channel.
+hd::Sample parse_sample_line(std::string_view line, std::string_view kind) {
+  hd::Sample sample;
+  std::string_view rest = line;
+  for (std::string_view token = next_token(rest); !token.empty(); token = next_token(rest)) {
+    sample.push_back(parse_sample_value(token));
+  }
+  if (sample.empty()) {
+    fail(kErrBadRequest, "empty sample line inside a " + std::string(kind) + " body");
+  }
+  return sample;
+}
+
+void append_sample_line(std::string& out, const hd::Sample& sample) {
+  for (std::size_t c = 0; c < sample.size(); ++c) {
+    if (c > 0) out += ' ';
+    append_float(out, sample[c]);
+  }
+  out += '\n';
+}
+
+/// Text decision row tail, shared by `result` and `window` rows:
+/// " label=L distance=D distances=d0,d1,...\n".
+void append_decision_fields(std::string& out, const hd::AmDecision& d) {
+  out += " label=";
+  out += std::to_string(d.label);
+  out += " distance=";
+  out += std::to_string(d.distance);
+  out += " distances=";
+  for (std::size_t i = 0; i < d.distances.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(d.distances[i]);
+  }
+  out += '\n';
+}
+
+/// Checks a decision row's leading keyword; returns the fields after it.
+std::string_view decision_row_fields(std::string_view line, std::string_view keyword) {
+  std::string_view rest = strip_cr(line);
+  if (next_token(rest) != keyword) {
+    fail(kErrBadRequest, "expected a \"" + std::string(keyword) + " ...\" line, got \"" +
+                             std::string(line) + "\"");
+  }
+  return rest;
+}
+
+hd::AmDecision parse_decision_fields(std::string_view rest, std::string_view keyword) {
+  hd::AmDecision decision;
+  decision.label = parse_size(expect_kv(next_token(rest), "label"), "label");
+  decision.distance = parse_size(expect_kv(next_token(rest), "distance"), "distance");
+  std::string_view distances = expect_kv(next_token(rest), "distances");
+  while (!distances.empty()) {
+    const std::size_t comma = distances.find(',');
+    decision.distances.push_back(parse_size(distances.substr(0, comma), "distances"));
+    distances.remove_prefix(comma == std::string_view::npos ? distances.size() : comma + 1);
+  }
+  if (!next_token(rest).empty()) {
+    fail(kErrBadRequest, "unexpected trailing fields on a " + std::string(keyword) + " line");
+  }
+  return decision;
+}
+
+// --- phd2 little-endian primitives ------------------------------------------
 
 void put_u8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
 
@@ -101,13 +239,83 @@ void put_f32(std::string& out, float v) {
   put_u32(out, bits);
 }
 
+/// A u8-length-prefixed string (model names, error codes). Throws
+/// std::invalid_argument rather than wrap the length byte.
+void put_str8(std::string& out, std::string_view text) {
+  if (text.size() > std::numeric_limits<std::uint8_t>::max()) {
+    throw std::invalid_argument("phd2: a name of " + std::to_string(text.size()) +
+                                " bytes does not fit its u8 length prefix (max 255)");
+  }
+  put_u8(out, static_cast<std::uint8_t>(text.size()));
+  out += text;
+}
+
+/// A u16-length-prefixed free-form message, truncated to 65,535 bytes.
+void put_str16(std::string& out, std::string_view text) {
+  const std::size_t len =
+      std::min<std::size_t>(text.size(), std::numeric_limits<std::uint16_t>::max());
+  put_u16(out, static_cast<std::uint16_t>(len));
+  out.append(text.data(), len);
+}
+
+/// A payload under construction, starting with its frame-type byte.
+std::string payload_of(std::uint8_t type) { return std::string(1, static_cast<char>(type)); }
+
+/// Wraps a finished payload in the u32 length prefix.
+std::string frame(std::string payload) {
+  std::string out;
+  out.reserve(4 + payload.size());
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  out += payload;
+  return out;
+}
+
+/// Binary sample block: u32 samples, u16 channels, then samples x channels
+/// float32 values. Throws std::invalid_argument on shapes the block cannot
+/// carry (ragged samples, more than 65,535 channels) instead of regrouping
+/// or truncating the values.
+void put_sample_block(std::string& out, std::span<const hd::Sample> samples) {
+  const std::size_t channels = samples.empty() ? 0 : samples.front().size();
+  if (channels > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::invalid_argument("phd2: " + std::to_string(channels) +
+                                " channels exceed the u16 channel count");
+  }
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    if (samples[s].size() != channels) {
+      throw std::invalid_argument("phd2: ragged sample block (sample " + std::to_string(s) +
+                                  " has " + std::to_string(samples[s].size()) +
+                                  " values, sample 0 has " + std::to_string(channels) + ")");
+    }
+  }
+  put_u32(out, static_cast<std::uint32_t>(samples.size()));
+  put_u16(out, static_cast<std::uint16_t>(channels));
+  for (const hd::Sample& sample : samples) {
+    for (const float value : sample) put_f32(out, value);
+  }
+}
+
+/// Binary decision list: u32 count, then per decision u32 label, u32
+/// distance, u32 class count and that many u32 distances.
+void put_decisions(std::string& out, std::span<const hd::AmDecision> decisions) {
+  put_u32(out, static_cast<std::uint32_t>(decisions.size()));
+  for (const hd::AmDecision& d : decisions) {
+    put_u32(out, static_cast<std::uint32_t>(d.label));
+    put_u32(out, static_cast<std::uint32_t>(d.distance));
+    put_u32(out, static_cast<std::uint32_t>(d.distances.size()));
+    for (const std::size_t distance : d.distances) {
+      put_u32(out, static_cast<std::uint32_t>(distance));
+    }
+  }
+}
+
 /// Sequential reader over one frame payload; every read checks bounds and
-/// fails with the given error code, so a truncated body can never read
-/// out of the frame.
+/// fails with bad-request naming the frame's kind, so a truncated body can
+/// never read out of the frame.
 class PayloadReader {
  public:
-  explicit PayloadReader(std::string_view payload) : data_(payload) {}
+  PayloadReader(std::string_view payload, std::string_view kind) : data_(payload), kind_(kind) {}
 
+  std::string_view kind() const noexcept { return kind_; }
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
   std::uint8_t u8(std::string_view what) {
@@ -159,9 +367,13 @@ class PayloadReader {
     return view;
   }
 
-  void expect_exhausted(std::string_view what) {
+  /// The readers of put_str8 / put_str16.
+  std::string str8(std::string_view what) { return std::string(bytes(u8(what), what)); }
+  std::string str16(std::string_view what) { return std::string(bytes(u16(what), what)); }
+
+  void expect_exhausted() {
     if (remaining() != 0) {
-      fail(kErrBadRequest, std::string(what) + " frame has " + std::to_string(remaining()) +
+      fail(kErrBadRequest, std::string(kind_) + " frame has " + std::to_string(remaining()) +
                                " trailing byte(s) past its declared content");
     }
   }
@@ -169,200 +381,182 @@ class PayloadReader {
  private:
   void need(std::size_t count, std::string_view what) {
     if (remaining() < count) {
-      fail(kErrBadRequest,
-           "frame truncated inside " + std::string(what) + " (need " + std::to_string(count) +
-               " more byte(s), have " + std::to_string(remaining()) + ")");
+      fail(kErrBadRequest, std::string(kind_) + " frame truncated inside " + std::string(what) +
+                               " (need " + std::to_string(count) + " more byte(s), have " +
+                               std::to_string(remaining()) + ")");
     }
   }
 
   std::string_view data_;
+  std::string_view kind_;
   std::size_t pos_ = 0;
 };
 
-/// Wraps a finished payload in the u32 length prefix.
-std::string frame(std::string payload) {
-  std::string out;
-  out.reserve(4 + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out += payload;
-  return out;
+/// Binary model name: the u8-length-prefixed name ("" = route to the
+/// default).
+std::string read_model_name(PayloadReader& reader) {
+  const std::string name = reader.str8("model name");
+  return name.empty() ? name : checked_model_name(name);
 }
 
-Request decode_classify_payload(PayloadReader& reader) {
-  ClassifyRequest request;
-  const std::uint8_t name_len = reader.u8("classify model-name length");
-  request.model = std::string(reader.bytes(name_len, "classify model name"));
-  if (name_len > 0 && !hd::is_valid_model_name(request.model)) {
-    fail(kErrBadRequest, "invalid model name \"" + request.model + "\"");
-  }
-  const std::uint32_t trials = reader.u32("classify trial count");
-  if (trials == 0) fail(kErrBadRequest, "classify needs trials >= 1");
-  if (trials > kMaxTrialsPerRequest) {
-    fail(kErrTooLarge, "trials=" + std::to_string(trials) + " exceeds the per-request limit of " +
-                           std::to_string(kMaxTrialsPerRequest));
-  }
-  request.trials.reserve(trials);
-  for (std::uint32_t t = 0; t < trials; ++t) {
-    const std::uint32_t samples = reader.u32("trial sample count");
-    const std::uint16_t channels = reader.u16("trial channel count");
-    if (samples == 0) fail(kErrBadRequest, "a trial needs samples >= 1");
-    if (samples > kMaxSamplesPerTrial) {
-      fail(kErrTooLarge, "samples=" + std::to_string(samples) +
-                             " exceeds the per-trial limit of " +
-                             std::to_string(kMaxSamplesPerTrial));
-    }
-    if (channels == 0) fail(kErrBadRequest, "a trial needs channels >= 1");
-    hd::Trial trial;
-    trial.reserve(samples);
-    for (std::uint32_t s = 0; s < samples; ++s) {
-      hd::Sample sample;
-      sample.reserve(channels);
-      for (std::uint16_t c = 0; c < channels; ++c) {
-        const float value = reader.f32("trial samples");
-        if (!std::isfinite(value)) {
-          fail(kErrBadRequest, "non-finite sample value in trial " + std::to_string(t));
-        }
-        sample.push_back(value);
-      }
-      trial.push_back(std::move(sample));
-    }
-    request.trials.push_back(std::move(trial));
-  }
-  reader.expect_exhausted("classify");
-  return Request{std::move(request)};
-}
-
-Request decode_reload_payload(PayloadReader& reader) {
-  ReloadRequest request;
-  const std::uint8_t name_len = reader.u8("reload model-name length");
-  request.model = std::string(reader.bytes(name_len, "reload model name"));
-  if (name_len > 0 && !hd::is_valid_model_name(request.model)) {
-    fail(kErrBadRequest, "invalid model name \"" + request.model + "\"");
-  }
-  reader.expect_exhausted("reload");
-  return Request{std::move(request)};
-}
-
-/// Model-independent stream-open shape checks, shared by both wires. The
-/// model-dependent window >= ngram check happens at execution time.
-void validate_stream_shape(std::size_t window, std::size_t hop) {
-  if (window == 0) fail(kErrBadRequest, "stream-open needs window >= 1");
-  if (hop == 0) fail(kErrBadRequest, "stream-open needs hop >= 1");
-  if (window > kMaxSamplesPerTrial) {
-    fail(kErrTooLarge, "window=" + std::to_string(window) + " exceeds the per-trial limit of " +
-                           std::to_string(kMaxSamplesPerTrial));
-  }
-  // Upper bound of the open-window overlap over any model (n >= 1); keeps
-  // the per-session counter-slot pool small.
-  const std::size_t overlap = (window - 1) / hop + 1;
-  if (overlap > kMaxStreamActiveWindows) {
-    fail(kErrTooLarge, "window=" + std::to_string(window) + " hop=" + std::to_string(hop) +
-                           " overlaps " + std::to_string(overlap) +
-                           " windows, limit is " + std::to_string(kMaxStreamActiveWindows));
-  }
-}
-
-Request decode_stream_open_payload(PayloadReader& reader) {
-  StreamOpenRequest request;
-  const std::uint8_t name_len = reader.u8("stream-open model-name length");
-  request.model = std::string(reader.bytes(name_len, "stream-open model name"));
-  if (name_len > 0 && !hd::is_valid_model_name(request.model)) {
-    fail(kErrBadRequest, "invalid model name \"" + request.model + "\"");
-  }
-  request.window = reader.u32("stream-open window");
-  request.hop = reader.u32("stream-open hop");
-  reader.expect_exhausted("stream-open");
-  validate_stream_shape(request.window, request.hop);
-  return Request{std::move(request)};
-}
-
-Request decode_stream_push_payload(PayloadReader& reader) {
-  StreamPushRequest request;
-  const std::uint32_t samples = reader.u32("stream-push sample count");
-  const std::uint16_t channels = reader.u16("stream-push channel count");
-  if (samples == 0) fail(kErrBadRequest, "stream-push needs samples >= 1");
-  if (samples > kMaxSamplesPerTrial) {
-    fail(kErrTooLarge, "samples=" + std::to_string(samples) +
-                           " exceeds the per-trial limit of " +
-                           std::to_string(kMaxSamplesPerTrial));
-  }
-  if (channels == 0) fail(kErrBadRequest, "stream-push needs channels >= 1");
-  request.samples.reserve(samples);
+hd::Trial read_sample_block(PayloadReader& reader) {
+  const std::uint32_t samples = reader.u32("sample count");
+  const std::uint16_t channels = reader.u16("channel count");
+  check_sample_count(samples, reader.kind());
+  if (channels == 0) fail(kErrBadRequest, std::string(reader.kind()) + " needs channels >= 1");
+  hd::Trial block;
+  block.reserve(samples);
   for (std::uint32_t s = 0; s < samples; ++s) {
     hd::Sample sample;
     sample.reserve(channels);
     for (std::uint16_t c = 0; c < channels; ++c) {
-      const float value = reader.f32("stream-push samples");
+      const float value = reader.f32("samples");
       if (!std::isfinite(value)) {
-        fail(kErrBadRequest, "non-finite sample value in stream-push");
+        fail(kErrBadRequest, "non-finite sample value in " + std::string(reader.kind()));
       }
       sample.push_back(value);
     }
-    request.samples.push_back(std::move(sample));
+    block.push_back(std::move(sample));
   }
-  reader.expect_exhausted("stream-push");
-  return Request{std::move(request)};
+  return block;
 }
 
-Request decode_request_payload(std::string_view payload) {
-  if (payload.empty()) fail(kErrBadRequest, "empty frame (no type byte)");
-  PayloadReader reader(payload);
-  const std::uint8_t type = reader.u8("frame type");
+std::vector<hd::AmDecision> read_decisions(PayloadReader& reader) {
+  const std::uint32_t count = reader.u32("decision count");
+  std::vector<hd::AmDecision> decisions;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    hd::AmDecision decision;
+    decision.label = reader.u32("decision label");
+    decision.distance = reader.u32("decision distance");
+    const std::uint32_t classes = reader.u32("decision class count");
+    // The count came off the wire: cap the reserve by what the frame can
+    // actually hold (4 bytes per distance), so a corrupt count fails in the
+    // bounds-checked read below instead of attempting a multi-gigabyte
+    // allocation here.
+    decision.distances.reserve(std::min<std::size_t>(classes, reader.remaining() / 4));
+    for (std::uint32_t c = 0; c < classes; ++c) {
+      decision.distances.push_back(reader.u32("decision distances"));
+    }
+    decisions.push_back(std::move(decision));
+  }
+  return decisions;
+}
+
+/// Pops one length-prefixed frame's payload off the front of `buffer`;
+/// std::nullopt while it is incomplete. A declared length over `limit`
+/// discards the buffer (it can no longer be delimited) and throws `code`.
+std::optional<std::string> pop_frame(std::string& buffer, std::size_t limit,
+                                     std::string_view code) {
+  if (buffer.size() < 4) return std::nullopt;
+  const std::uint32_t length = PayloadReader(buffer, "frame").u32("length prefix");
+  if (length > limit) {
+    buffer.clear();
+    fail(code, "frame declares " + std::to_string(length) + " payload bytes, limit is " +
+                   std::to_string(limit));
+  }
+  if (buffer.size() < 4u + length) return std::nullopt;
+  std::string payload = buffer.substr(4, length);
+  buffer.erase(0, 4u + length);
+  return payload;
+}
+
+/// The request kind (phd1 command token) a phd2 request frame type carries.
+std::string_view request_kind(std::uint8_t type) {
   switch (type) {
     case kFramePing:
-      reader.expect_exhausted("ping");
-      return Request{PingRequest{}};
+      return "ping";
     case kFrameModels:
-      reader.expect_exhausted("models");
-      return Request{ModelsRequest{}};
+      return "models";
     case kFrameQuit:
-      reader.expect_exhausted("quit");
-      return Request{QuitRequest{}};
+      return "quit";
     case kFrameClassify:
-      return decode_classify_payload(reader);
+      return "classify";
     case kFrameReload:
-      return decode_reload_payload(reader);
+      return "reload";
     case kFrameStreamOpen:
-      return decode_stream_open_payload(reader);
+      return "stream-open";
     case kFrameStreamPush:
-      return decode_stream_push_payload(reader);
+      return "stream-push";
     case kFrameStreamClose:
-      reader.expect_exhausted("stream-close");
-      return Request{StreamCloseRequest{}};
+      return "stream-close";
     default:
       fail(kErrBadRequest,
            "unknown request frame type " + std::to_string(static_cast<unsigned>(type)));
   }
 }
 
+Request decode_request_body(std::uint8_t type, PayloadReader& reader) {
+  switch (type) {
+    case kFramePing:
+      return PingRequest{};
+    case kFrameModels:
+      return ModelsRequest{};
+    case kFrameQuit:
+      return QuitRequest{};
+    case kFrameClassify: {
+      ClassifyRequest request;
+      request.model = read_model_name(reader);
+      const std::uint32_t trials = reader.u32("trial count");
+      check_trial_count(trials);
+      request.trials.reserve(trials);
+      for (std::uint32_t t = 0; t < trials; ++t) {
+        request.trials.push_back(read_sample_block(reader));
+      }
+      return request;
+    }
+    case kFrameReload:
+      return ReloadRequest{read_model_name(reader)};
+    case kFrameStreamOpen: {
+      StreamOpenRequest request;
+      request.model = read_model_name(reader);
+      request.window = reader.u32("window");
+      request.hop = reader.u32("hop");
+      return request;
+    }
+    case kFrameStreamPush:
+      return StreamPushRequest{read_sample_block(reader)};
+    default:
+      return StreamCloseRequest{};
+  }
+}
+
+Request decode_request_payload(std::string_view payload) {
+  if (payload.empty()) fail(kErrBadRequest, "empty frame (no type byte)");
+  const auto type = static_cast<std::uint8_t>(payload.front());
+  PayloadReader reader(payload.substr(1), request_kind(type));
+  Request request = decode_request_body(type, reader);
+  reader.expect_exhausted();
+  if (const auto* open = std::get_if<StreamOpenRequest>(&request)) {
+    validate_stream_shape(open->window, open->hop);
+  }
+  return request;
+}
+
 }  // namespace
+
+// --- phd1 text request parser -------------------------------------------------
 
 std::optional<Request> RequestParser::consume_line(std::string_view line) {
   line = strip_cr(line);
-  const bool was_mid_body = pending_ != nullptr || pending_push_ != nullptr;
+  const bool was_mid_body = !idle();
   framing_lost_ = false;
   try {
-    if (pending_push_ != nullptr) return consume_push_sample_line(line);
-    if (pending_ == nullptr) return consume_header(line);
+    if (!pending_) return consume_header(line);
     if (remaining_samples_ == 0) {
       consume_trial_header(line);
       return std::nullopt;
     }
-    consume_sample_line(line);
-    if (remaining_trials_ == 0) {
-      Request done = std::move(*pending_);
-      pending_.reset();
-      return done;
-    }
-    return std::nullopt;
+    block_->push_back(parse_sample_line(line, body_kind()));
+    if (--remaining_samples_ > 0 || remaining_trials_ > 0) return std::nullopt;
+    Request done = std::move(*pending_);
+    pending_.reset();
+    return done;
   } catch (...) {
     // Reset to idle so one bad request never poisons the next; the caller
     // checks framing_lost() to decide whether the connection survives.
     pending_.reset();
     remaining_trials_ = 0;
     remaining_samples_ = 0;
-    pending_push_.reset();
-    remaining_push_samples_ = 0;
     if (was_mid_body) framing_lost_ = true;
     throw;
   }
@@ -378,228 +572,75 @@ std::optional<Request> RequestParser::consume_header(std::string_view line) {
                                      std::string(kProtocolVersionToken) + ")");
   }
   const std::string_view command = next_token(rest);
-  if (command == "ping" || command == "models" || command == "quit") {
-    if (!next_token(rest).empty()) {
-      fail(kErrBadRequest, "unexpected trailing fields after \"" + std::string(command) + "\"");
-    }
+  if (command == "ping" || command == "models" || command == "quit" ||
+      command == "stream-close") {
+    expect_end(rest, command);
     if (command == "ping") return Request{PingRequest{}};
     if (command == "models") return Request{ModelsRequest{}};
-    return Request{QuitRequest{}};
+    if (command == "quit") return Request{QuitRequest{}};
+    return Request{StreamCloseRequest{}};
   }
   if (command == "reload") {
-    ReloadRequest request;
-    std::string_view token = next_token(rest);
-    if (!token.empty()) {
-      request.model = std::string(expect_kv(token, "model"));
-      if (!hd::is_valid_model_name(request.model)) {
-        fail(kErrBadRequest, "invalid model name \"" + request.model + "\"");
-      }
-      if (!next_token(rest).empty()) {
-        fail(kErrBadRequest, "unexpected trailing fields after model=");
-      }
-    }
+    ReloadRequest request{take_model_token(rest)};
+    expect_end(rest, "reload");
     return Request{std::move(request)};
   }
   if (command == "stream-open") {
     StreamOpenRequest request;
-    std::string_view token = next_token(rest);
-    if (token.starts_with("model=")) {
-      request.model = std::string(expect_kv(token, "model"));
-      if (!hd::is_valid_model_name(request.model)) {
-        fail(kErrBadRequest, "invalid model name \"" + request.model + "\"");
-      }
-      token = next_token(rest);
-    }
-    request.window = parse_size(expect_kv(token, "window"), "window");
+    request.model = take_model_token(rest);
+    request.window = parse_size(expect_kv(next_token(rest), "window"), "window");
     request.hop = parse_size(expect_kv(next_token(rest), "hop"), "hop");
-    if (!next_token(rest).empty()) {
-      fail(kErrBadRequest, "unexpected trailing fields after hop=");
-    }
+    expect_end(rest, "hop=");
     validate_stream_shape(request.window, request.hop);
     return Request{std::move(request)};
   }
-  if (command == "stream-close") {
-    if (!next_token(rest).empty()) {
-      fail(kErrBadRequest, "unexpected trailing fields after \"stream-close\"");
-    }
-    return Request{StreamCloseRequest{}};
-  }
-  if (command == "stream-push") {
-    // Like classify: once the header announced body lines, any failure
-    // below loses framing — the client has already pipelined the samples.
-    framing_lost_ = true;
-    const std::size_t samples = parse_size(expect_kv(next_token(rest), "samples"), "samples");
-    if (!next_token(rest).empty()) {
-      fail(kErrBadRequest, "unexpected trailing fields after samples=");
-    }
-    if (samples == 0) fail(kErrBadRequest, "stream-push needs samples >= 1");
-    if (samples > kMaxSamplesPerTrial) {
-      fail(kErrTooLarge, "samples=" + std::to_string(samples) +
-                             " exceeds the per-trial limit of " +
-                             std::to_string(kMaxSamplesPerTrial));
-    }
-    pending_push_ = std::make_unique<StreamPushRequest>();
-    pending_push_->samples.reserve(samples);
-    remaining_push_samples_ = samples;
-    framing_lost_ = false;  // header parsed fully; body lines frame normally
-    return std::nullopt;
-  }
-  if (command != "classify") {
+  if (command != "classify" && command != "stream-push") {
     fail(kErrBadRequest, "unknown command \"" + std::string(command) + "\"");
   }
   // From here any failure loses framing: a pipelining client has already
-  // sent the trial lines this header announced.
+  // sent the body lines this header announces.
   framing_lost_ = true;
-  auto request = std::make_unique<ClassifyRequest>();
-  std::string_view token = next_token(rest);
-  if (token.starts_with("model=")) {
-    request->model = std::string(expect_kv(token, "model"));
-    if (!hd::is_valid_model_name(request->model)) {
-      fail(kErrBadRequest, "invalid model name \"" + request->model + "\"");
-    }
-    token = next_token(rest);
+  if (command == "classify") {
+    ClassifyRequest request;
+    request.model = take_model_token(rest);
+    const std::size_t trials = parse_size(expect_kv(next_token(rest), "trials"), "trials");
+    expect_end(rest, "trials=");
+    check_trial_count(trials);
+    request.trials.reserve(trials);
+    pending_ = std::move(request);
+    remaining_trials_ = trials;
+  } else {
+    // A stream-push body is one sample block without a "trial" line.
+    begin_block(std::get<StreamPushRequest>(pending_.emplace(StreamPushRequest{})).samples, rest);
   }
-  const std::size_t trials = parse_size(expect_kv(token, "trials"), "trials");
-  if (!next_token(rest).empty()) {
-    fail(kErrBadRequest, "unexpected trailing fields after trials=");
-  }
-  if (trials == 0) fail(kErrBadRequest, "classify needs trials >= 1");
-  if (trials > kMaxTrialsPerRequest) {
-    fail(kErrTooLarge, "trials=" + std::to_string(trials) + " exceeds the per-request limit of " +
-                           std::to_string(kMaxTrialsPerRequest));
-  }
-  request->trials.reserve(trials);
-  pending_ = std::move(request);
-  remaining_trials_ = trials;
-  remaining_samples_ = 0;
   framing_lost_ = false;  // header parsed fully; body lines frame normally
   return std::nullopt;
 }
 
 void RequestParser::consume_trial_header(std::string_view line) {
   std::string_view rest = line;
-  const std::string_view keyword = next_token(rest);
-  if (keyword != "trial") {
+  if (next_token(rest) != "trial") {
     fail(kErrBadRequest,
          "expected a \"trial samples=...\" line, got \"" + std::string(line) + "\"");
   }
+  --remaining_trials_;
+  begin_block(std::get<ClassifyRequest>(*pending_).trials.emplace_back(), rest);
+}
+
+void RequestParser::begin_block(hd::Trial& block, std::string_view rest) {
   const std::size_t samples = parse_size(expect_kv(next_token(rest), "samples"), "samples");
-  if (!next_token(rest).empty()) {
-    fail(kErrBadRequest, "unexpected trailing fields after samples=");
-  }
-  if (samples == 0) fail(kErrBadRequest, "a trial needs samples >= 1");
-  if (samples > kMaxSamplesPerTrial) {
-    fail(kErrTooLarge, "samples=" + std::to_string(samples) +
-                           " exceeds the per-trial limit of " +
-                           std::to_string(kMaxSamplesPerTrial));
-  }
-  pending_->trials.emplace_back();
-  pending_->trials.back().reserve(samples);
+  expect_end(rest, "samples=");
+  check_sample_count(samples, body_kind());
+  block.reserve(samples);
+  block_ = &block;
   remaining_samples_ = samples;
 }
 
-void RequestParser::consume_sample_line(std::string_view line) {
-  hd::Sample sample;
-  std::string_view rest = line;
-  for (std::string_view token = next_token(rest); !token.empty(); token = next_token(rest)) {
-    sample.push_back(parse_sample_value(token));
-  }
-  if (sample.empty()) fail(kErrBadRequest, "empty sample line inside a trial body");
-  pending_->trials.back().push_back(std::move(sample));
-  if (--remaining_samples_ == 0) --remaining_trials_;
+std::string_view RequestParser::body_kind() const {
+  return std::holds_alternative<StreamPushRequest>(*pending_) ? "stream-push" : "classify";
 }
 
-std::optional<Request> RequestParser::consume_push_sample_line(std::string_view line) {
-  hd::Sample sample;
-  std::string_view rest = line;
-  for (std::string_view token = next_token(rest); !token.empty(); token = next_token(rest)) {
-    sample.push_back(parse_sample_value(token));
-  }
-  if (sample.empty()) fail(kErrBadRequest, "empty sample line inside a stream-push body");
-  pending_push_->samples.push_back(std::move(sample));
-  if (--remaining_push_samples_ > 0) return std::nullopt;
-  Request done = std::move(*pending_push_);
-  pending_push_.reset();
-  return done;
-}
-
-std::string format_pong() { return "ok pong\n"; }
-
-std::string format_bye() { return "ok bye\n"; }
-
-std::string format_models_response(std::span<const ModelInfo> models) {
-  std::string out = "ok models count=" + std::to_string(models.size()) + "\n";
-  for (const ModelInfo& m : models) {
-    out += "model name=" + m.name + " dim=" + std::to_string(m.dim) +
-           " channels=" + std::to_string(m.channels) + " classes=" + std::to_string(m.classes) +
-           " ngram=" + std::to_string(m.ngram) + " default=" + (m.is_default ? "1" : "0") + "\n";
-  }
-  return out;
-}
-
-std::string format_classify_response(const std::string& model,
-                                     std::span<const hd::AmDecision> decisions) {
-  std::string out =
-      "ok classify model=" + model + " results=" + std::to_string(decisions.size()) + "\n";
-  for (const hd::AmDecision& d : decisions) {
-    out += "result label=" + std::to_string(d.label) + " distance=" + std::to_string(d.distance) +
-           " distances=";
-    for (std::size_t i = 0; i < d.distances.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(d.distances[i]);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-std::string format_reload_response(std::span<const ReloadStatus> statuses) {
-  std::string out = "ok reload count=" + std::to_string(statuses.size()) + "\n";
-  for (const ReloadStatus& s : statuses) {
-    out += "reload model=" + s.name + " ok=" + (s.ok ? "1" : "0");
-    if (!s.message.empty()) {
-      out += " msg=";
-      // Keep the row a single line, like format_error.
-      for (const char c : s.message) out += (c == '\n' || c == '\r') ? ' ' : c;
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-std::string format_stream_opened_response(const std::string& model, std::size_t window,
-                                          std::size_t hop) {
-  return "ok stream-open model=" + model + " window=" + std::to_string(window) +
-         " hop=" + std::to_string(hop) + "\n";
-}
-
-std::string format_stream_windows_response(std::uint64_t first_index,
-                                           std::span<const hd::AmDecision> decisions) {
-  std::string out = "ok stream-push windows=" + std::to_string(decisions.size()) + "\n";
-  for (std::size_t w = 0; w < decisions.size(); ++w) {
-    const hd::AmDecision& d = decisions[w];
-    out += "window index=" + std::to_string(first_index + w) +
-           " label=" + std::to_string(d.label) + " distance=" + std::to_string(d.distance) +
-           " distances=";
-    for (std::size_t i = 0; i < d.distances.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(d.distances[i]);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-std::string format_stream_closed_response(std::uint64_t windows) {
-  return "ok stream-close windows=" + std::to_string(windows) + "\n";
-}
-
-std::string format_error(std::string_view code, std::string_view message) {
-  std::string out = "err code=" + std::string(code) + " msg=";
-  for (const char c : message) out += (c == '\n' || c == '\r') ? ' ' : c;
-  out += '\n';
-  return out;
-}
+// --- Client-side text helpers ----------------------------------------------------
 
 std::string format_classify_request(const std::string& model,
                                     std::span<const hd::Trial> trials) {
@@ -608,104 +649,60 @@ std::string format_classify_request(const std::string& model,
   out += " trials=" + std::to_string(trials.size()) + "\n";
   for (const hd::Trial& trial : trials) {
     out += "trial samples=" + std::to_string(trial.size()) + "\n";
-    for (const hd::Sample& sample : trial) {
-      for (std::size_t c = 0; c < sample.size(); ++c) {
-        if (c > 0) out += ' ';
-        append_float(out, sample[c]);
-      }
-      out += '\n';
-    }
+    for (const hd::Sample& sample : trial) append_sample_line(out, sample);
   }
   return out;
 }
 
 hd::AmDecision parse_result_line(std::string_view line) {
-  std::string_view rest = strip_cr(line);
-  if (next_token(rest) != "result") {
-    fail(kErrBadRequest, "expected a \"result ...\" line, got \"" + std::string(line) + "\"");
-  }
-  hd::AmDecision decision;
-  decision.label = parse_size(expect_kv(next_token(rest), "label"), "label");
-  decision.distance = parse_size(expect_kv(next_token(rest), "distance"), "distance");
-  std::string_view distances = expect_kv(next_token(rest), "distances");
-  while (!distances.empty()) {
-    const std::size_t comma = distances.find(',');
-    decision.distances.push_back(parse_size(distances.substr(0, comma), "distances"));
-    distances.remove_prefix(comma == std::string_view::npos ? distances.size() : comma + 1);
-  }
-  if (!next_token(rest).empty()) {
-    fail(kErrBadRequest, "unexpected trailing fields on a result line");
-  }
-  return decision;
+  return parse_decision_fields(decision_row_fields(line, "result"), "result");
 }
 
 std::pair<std::uint64_t, hd::AmDecision> parse_window_line(std::string_view line) {
-  std::string_view rest = strip_cr(line);
-  if (next_token(rest) != "window") {
-    fail(kErrBadRequest, "expected a \"window ...\" line, got \"" + std::string(line) + "\"");
-  }
+  std::string_view rest = decision_row_fields(line, "window");
   const std::uint64_t index = parse_size(expect_kv(next_token(rest), "index"), "index");
-  hd::AmDecision decision;
-  decision.label = parse_size(expect_kv(next_token(rest), "label"), "label");
-  decision.distance = parse_size(expect_kv(next_token(rest), "distance"), "distance");
-  std::string_view distances = expect_kv(next_token(rest), "distances");
-  while (!distances.empty()) {
-    const std::size_t comma = distances.find(',');
-    decision.distances.push_back(parse_size(distances.substr(0, comma), "distances"));
-    distances.remove_prefix(comma == std::string_view::npos ? distances.size() : comma + 1);
-  }
-  if (!next_token(rest).empty()) {
-    fail(kErrBadRequest, "unexpected trailing fields on a window line");
-  }
-  return {index, std::move(decision)};
+  return {index, parse_decision_fields(rest, "window")};
 }
 
-// --- phd2 binary framing ---------------------------------------------------
+// --- phd2 binary request parser ----------------------------------------------
 
 std::optional<Request> BinaryRequestParser::next() {
-  if (buffer_.size() < 4) return std::nullopt;
-  PayloadReader prefix(buffer_);
-  const std::uint32_t length = prefix.u32("frame length");
-  if (length > max_frame_bytes_) {
-    // The length prefix itself is the framing: once it exceeds the limit
-    // the stream can no longer be delimited, so the connection must go.
-    framing_lost_ = true;
-    const std::string message = "frame declares " + std::to_string(length) +
-                                " payload bytes, limit is " + std::to_string(max_frame_bytes_);
-    buffer_.clear();
-    fail(kErrTooLarge, message);
-  }
-  if (buffer_.size() < 4u + length) return std::nullopt;
-  const std::string payload = buffer_.substr(4, length);
-  buffer_.erase(0, 4u + length);
+  // The length prefix itself is the framing: once it exceeds the limit the
+  // stream can no longer be delimited, so the connection must go.
+  framing_lost_ = true;
+  const std::optional<std::string> payload = pop_frame(buffer_, max_frame_bytes_, kErrTooLarge);
   framing_lost_ = false;
+  if (!payload) return std::nullopt;
   // Any decode failure below happened inside a fully delimited frame: the
   // frame is already consumed, so the connection stays frameable.
-  return decode_request_payload(payload);
+  return decode_request_payload(*payload);
 }
 
+// --- Responses, in either wire encoding ------------------------------------------
+
 std::string ResponseEncoder::pong() const {
-  if (wire_ == Wire::kText) return format_pong();
-  std::string payload;
-  put_u8(payload, kFramePong);
-  return frame(std::move(payload));
+  return wire_ == Wire::kText ? "ok pong\n" : frame(payload_of(kFramePong));
 }
 
 std::string ResponseEncoder::bye() const {
-  if (wire_ == Wire::kText) return format_bye();
-  std::string payload;
-  put_u8(payload, kFrameBye);
-  return frame(std::move(payload));
+  return wire_ == Wire::kText ? "ok bye\n" : frame(payload_of(kFrameBye));
 }
 
 std::string ResponseEncoder::models(std::span<const ModelInfo> models) const {
-  if (wire_ == Wire::kText) return format_models_response(models);
-  std::string payload;
-  put_u8(payload, kFrameModelList);
+  if (wire_ == Wire::kText) {
+    std::string out = "ok models count=" + std::to_string(models.size()) + "\n";
+    for (const ModelInfo& m : models) {
+      out += "model name=" + m.name + " dim=" + std::to_string(m.dim) +
+             " channels=" + std::to_string(m.channels) +
+             " classes=" + std::to_string(m.classes) + " ngram=" + std::to_string(m.ngram) +
+             " default=" + (m.is_default ? "1" : "0") + "\n";
+    }
+    return out;
+  }
+  std::string payload = payload_of(kFrameModelList);
   put_u32(payload, static_cast<std::uint32_t>(models.size()));
   for (const ModelInfo& m : models) {
-    put_u8(payload, static_cast<std::uint8_t>(m.name.size()));
-    payload += m.name;
+    put_str8(payload, m.name);
     put_u32(payload, static_cast<std::uint32_t>(m.dim));
     put_u32(payload, static_cast<std::uint32_t>(m.channels));
     put_u32(payload, static_cast<std::uint32_t>(m.classes));
@@ -717,47 +714,52 @@ std::string ResponseEncoder::models(std::span<const ModelInfo> models) const {
 
 std::string ResponseEncoder::classify(const std::string& model,
                                       std::span<const hd::AmDecision> decisions) const {
-  if (wire_ == Wire::kText) return format_classify_response(model, decisions);
-  std::string payload;
-  put_u8(payload, kFrameResults);
-  put_u8(payload, static_cast<std::uint8_t>(model.size()));
-  payload += model;
-  put_u32(payload, static_cast<std::uint32_t>(decisions.size()));
-  for (const hd::AmDecision& d : decisions) {
-    put_u32(payload, static_cast<std::uint32_t>(d.label));
-    put_u32(payload, static_cast<std::uint32_t>(d.distance));
-    put_u32(payload, static_cast<std::uint32_t>(d.distances.size()));
-    for (const std::size_t distance : d.distances) {
-      put_u32(payload, static_cast<std::uint32_t>(distance));
+  if (wire_ == Wire::kText) {
+    std::string out =
+        "ok classify model=" + model + " results=" + std::to_string(decisions.size()) + "\n";
+    for (const hd::AmDecision& d : decisions) {
+      out += "result";
+      append_decision_fields(out, d);
     }
+    return out;
   }
+  std::string payload = payload_of(kFrameResults);
+  put_str8(payload, model);
+  put_decisions(payload, decisions);
   return frame(std::move(payload));
 }
 
 std::string ResponseEncoder::reload(std::span<const ReloadStatus> statuses) const {
-  if (wire_ == Wire::kText) return format_reload_response(statuses);
-  std::string payload;
-  put_u8(payload, kFrameReloadResult);
+  if (wire_ == Wire::kText) {
+    std::string out = "ok reload count=" + std::to_string(statuses.size()) + "\n";
+    for (const ReloadStatus& s : statuses) {
+      out += "reload model=" + s.name + " ok=" + (s.ok ? "1" : "0");
+      if (!s.message.empty()) {
+        out += " msg=";
+        append_flattened(out, s.message);
+      }
+      out += '\n';
+    }
+    return out;
+  }
+  std::string payload = payload_of(kFrameReloadResult);
   put_u32(payload, static_cast<std::uint32_t>(statuses.size()));
   for (const ReloadStatus& s : statuses) {
-    put_u8(payload, static_cast<std::uint8_t>(s.name.size()));
-    payload += s.name;
+    put_str8(payload, s.name);
     put_u8(payload, s.ok ? 1 : 0);
-    const std::size_t msg_len =
-        std::min<std::size_t>(s.message.size(), std::numeric_limits<std::uint16_t>::max());
-    put_u16(payload, static_cast<std::uint16_t>(msg_len));
-    payload.append(s.message.data(), msg_len);
+    put_str16(payload, s.message);
   }
   return frame(std::move(payload));
 }
 
 std::string ResponseEncoder::stream_opened(const std::string& model, std::size_t window,
                                            std::size_t hop) const {
-  if (wire_ == Wire::kText) return format_stream_opened_response(model, window, hop);
-  std::string payload;
-  put_u8(payload, kFrameStreamOpened);
-  put_u8(payload, static_cast<std::uint8_t>(model.size()));
-  payload += model;
+  if (wire_ == Wire::kText) {
+    return "ok stream-open model=" + model + " window=" + std::to_string(window) +
+           " hop=" + std::to_string(hop) + "\n";
+  }
+  std::string payload = payload_of(kFrameStreamOpened);
+  put_str8(payload, model);
   put_u32(payload, static_cast<std::uint32_t>(window));
   put_u32(payload, static_cast<std::uint32_t>(hop));
   return frame(std::move(payload));
@@ -765,110 +767,80 @@ std::string ResponseEncoder::stream_opened(const std::string& model, std::size_t
 
 std::string ResponseEncoder::stream_windows(std::uint64_t first_index,
                                             std::span<const hd::AmDecision> decisions) const {
-  if (wire_ == Wire::kText) return format_stream_windows_response(first_index, decisions);
-  std::string payload;
-  put_u8(payload, kFrameStreamWindows);
-  put_u64(payload, first_index);
-  put_u32(payload, static_cast<std::uint32_t>(decisions.size()));
-  for (const hd::AmDecision& d : decisions) {
-    put_u32(payload, static_cast<std::uint32_t>(d.label));
-    put_u32(payload, static_cast<std::uint32_t>(d.distance));
-    put_u32(payload, static_cast<std::uint32_t>(d.distances.size()));
-    for (const std::size_t distance : d.distances) {
-      put_u32(payload, static_cast<std::uint32_t>(distance));
+  if (wire_ == Wire::kText) {
+    std::string out = "ok stream-push windows=" + std::to_string(decisions.size()) + "\n";
+    for (std::size_t w = 0; w < decisions.size(); ++w) {
+      out += "window index=" + std::to_string(first_index + w);
+      append_decision_fields(out, decisions[w]);
     }
+    return out;
   }
+  std::string payload = payload_of(kFrameStreamWindows);
+  put_u64(payload, first_index);
+  put_decisions(payload, decisions);
   return frame(std::move(payload));
 }
 
 std::string ResponseEncoder::stream_closed(std::uint64_t windows) const {
-  if (wire_ == Wire::kText) return format_stream_closed_response(windows);
-  std::string payload;
-  put_u8(payload, kFrameStreamClosed);
+  if (wire_ == Wire::kText) return "ok stream-close windows=" + std::to_string(windows) + "\n";
+  std::string payload = payload_of(kFrameStreamClosed);
   put_u64(payload, windows);
   return frame(std::move(payload));
 }
 
 std::string ResponseEncoder::error(std::string_view code, std::string_view message,
                                    bool fatal) const {
-  if (wire_ == Wire::kText) return format_error(code, message);
-  std::string payload;
-  put_u8(payload, kFrameError);
-  put_u8(payload, static_cast<std::uint8_t>(code.size()));
-  payload += code;
-  const std::size_t msg_len =
-      std::min<std::size_t>(message.size(), std::numeric_limits<std::uint16_t>::max());
-  put_u16(payload, static_cast<std::uint16_t>(msg_len));
-  payload.append(message.data(), msg_len);
+  if (wire_ == Wire::kText) {
+    std::string out = "err code=" + std::string(code) + " msg=";
+    append_flattened(out, message);
+    out += '\n';
+    return out;
+  }
+  std::string payload = payload_of(kFrameError);
+  put_str8(payload, code);
+  put_str16(payload, message);
   put_u8(payload, fatal ? 1 : 0);
   return frame(std::move(payload));
 }
 
-std::string format_binary_command(std::uint8_t type) {
-  std::string payload;
-  put_u8(payload, type);
-  return frame(std::move(payload));
-}
+// --- Client-side binary helpers ----------------------------------------------
+
+std::string format_binary_command(std::uint8_t type) { return frame(payload_of(type)); }
 
 std::string format_binary_reload_request(const std::string& model) {
-  std::string payload;
-  put_u8(payload, kFrameReload);
-  put_u8(payload, static_cast<std::uint8_t>(model.size()));
-  payload += model;
+  std::string payload = payload_of(kFrameReload);
+  put_str8(payload, model);
   return frame(std::move(payload));
 }
 
 std::string format_binary_classify_request(const std::string& model,
                                            std::span<const hd::Trial> trials) {
-  std::string payload;
-  put_u8(payload, kFrameClassify);
-  put_u8(payload, static_cast<std::uint8_t>(model.size()));
-  payload += model;
+  std::string payload = payload_of(kFrameClassify);
+  put_str8(payload, model);
   put_u32(payload, static_cast<std::uint32_t>(trials.size()));
-  for (const hd::Trial& trial : trials) {
-    put_u32(payload, static_cast<std::uint32_t>(trial.size()));
-    const std::size_t channels = trial.empty() ? 0 : trial.front().size();
-    put_u16(payload, static_cast<std::uint16_t>(channels));
-    for (const hd::Sample& sample : trial) {
-      for (const float value : sample) put_f32(payload, value);
-    }
-  }
+  for (const hd::Trial& trial : trials) put_sample_block(payload, trial);
   return frame(std::move(payload));
 }
 
 std::string format_binary_stream_open_request(const std::string& model, std::uint32_t window,
                                               std::uint32_t hop) {
-  std::string payload;
-  put_u8(payload, kFrameStreamOpen);
-  put_u8(payload, static_cast<std::uint8_t>(model.size()));
-  payload += model;
+  std::string payload = payload_of(kFrameStreamOpen);
+  put_str8(payload, model);
   put_u32(payload, window);
   put_u32(payload, hop);
   return frame(std::move(payload));
 }
 
 std::string format_binary_stream_push_request(std::span<const hd::Sample> samples) {
-  std::string payload;
-  put_u8(payload, kFrameStreamPush);
-  put_u32(payload, static_cast<std::uint32_t>(samples.size()));
-  const std::size_t channels = samples.empty() ? 0 : samples.front().size();
-  put_u16(payload, static_cast<std::uint16_t>(channels));
-  for (const hd::Sample& sample : samples) {
-    for (const float value : sample) put_f32(payload, value);
-  }
+  std::string payload = payload_of(kFrameStreamPush);
+  put_sample_block(payload, samples);
   return frame(std::move(payload));
 }
 
 std::optional<BinaryResponse> BinaryResponseParser::next() {
-  if (buffer_.size() < 4) return std::nullopt;
-  PayloadReader prefix(buffer_);
-  const std::uint32_t length = prefix.u32("frame length");
-  if (length > kMaxFrameBytes) fail(kErrBadRequest, "response frame over the frame limit");
-  if (buffer_.size() < 4u + length) return std::nullopt;
-  const std::string payload = buffer_.substr(4, length);
-  buffer_.erase(0, 4u + length);
-
-  PayloadReader reader(payload);
+  const std::optional<std::string> payload = pop_frame(buffer_, kMaxFrameBytes, kErrBadRequest);
+  if (!payload) return std::nullopt;
+  PayloadReader reader(*payload, "response");
   BinaryResponse response;
   response.type = reader.u8("response type");
   switch (response.type) {
@@ -879,7 +851,7 @@ std::optional<BinaryResponse> BinaryResponseParser::next() {
       const std::uint32_t count = reader.u32("model count");
       for (std::uint32_t i = 0; i < count; ++i) {
         ModelInfo info;
-        info.name = std::string(reader.bytes(reader.u8("model name length"), "model name"));
+        info.name = reader.str8("model name");
         info.dim = reader.u32("model dim");
         info.channels = reader.u32("model channels");
         info.classes = reader.u32("model classes");
@@ -889,86 +861,47 @@ std::optional<BinaryResponse> BinaryResponseParser::next() {
       }
       break;
     }
-    case kFrameResults: {
-      response.model =
-          std::string(reader.bytes(reader.u8("result model-name length"), "result model name"));
-      const std::uint32_t results = reader.u32("result count");
-      for (std::uint32_t i = 0; i < results; ++i) {
-        hd::AmDecision decision;
-        decision.label = reader.u32("result label");
-        decision.distance = reader.u32("result distance");
-        const std::uint32_t classes = reader.u32("result class count");
-        // The count came off the wire: cap the reserve by what the frame
-        // can actually hold (4 bytes per distance), so a corrupt count
-        // fails in the bounds-checked read below instead of attempting a
-        // multi-gigabyte allocation here.
-        decision.distances.reserve(std::min<std::size_t>(classes, reader.remaining() / 4));
-        for (std::uint32_t c = 0; c < classes; ++c) {
-          decision.distances.push_back(reader.u32("result distances"));
-        }
-        response.decisions.push_back(std::move(decision));
-      }
+    case kFrameResults:
+      response.model = reader.str8("result model name");
+      response.decisions = read_decisions(reader);
       break;
-    }
     case kFrameReloadResult: {
       const std::uint32_t count = reader.u32("reload count");
       for (std::uint32_t i = 0; i < count; ++i) {
         ReloadStatus status;
-        status.name =
-            std::string(reader.bytes(reader.u8("reload model-name length"), "reload model name"));
+        status.name = reader.str8("reload model name");
         status.ok = reader.u8("reload ok flag") != 0;
-        status.message =
-            std::string(reader.bytes(reader.u16("reload message length"), "reload message"));
+        status.message = reader.str16("reload message");
         response.reloads.push_back(std::move(status));
       }
       break;
     }
-    case kFrameStreamOpened: {
-      response.model = std::string(
-          reader.bytes(reader.u8("stream-open model-name length"), "stream-open model name"));
+    case kFrameStreamOpened:
+      response.model = reader.str8("stream-open model name");
       response.window = reader.u32("stream-open window");
       response.hop = reader.u32("stream-open hop");
       break;
-    }
-    case kFrameStreamWindows: {
+    case kFrameStreamWindows:
       response.first_window = reader.u64("stream window index");
-      const std::uint32_t windows = reader.u32("stream window count");
-      for (std::uint32_t i = 0; i < windows; ++i) {
-        hd::AmDecision decision;
-        decision.label = reader.u32("window label");
-        decision.distance = reader.u32("window distance");
-        const std::uint32_t classes = reader.u32("window class count");
-        // Same wire-count reserve cap as kFrameResults: a corrupt count
-        // must fail in the bounds-checked read, not in a huge reserve.
-        decision.distances.reserve(std::min<std::size_t>(classes, reader.remaining() / 4));
-        for (std::uint32_t c = 0; c < classes; ++c) {
-          decision.distances.push_back(reader.u32("window distances"));
-        }
-        response.decisions.push_back(std::move(decision));
-      }
+      response.decisions = read_decisions(reader);
       break;
-    }
-    case kFrameStreamClosed: {
+    case kFrameStreamClosed:
       response.windows_total = reader.u64("stream-close window count");
       break;
-    }
-    case kFrameError: {
-      response.error_code =
-          std::string(reader.bytes(reader.u8("error code length"), "error code"));
-      response.error_message =
-          std::string(reader.bytes(reader.u16("error message length"), "error message"));
+    case kFrameError:
+      response.error_code = reader.str8("error code");
+      response.error_message = reader.str16("error message");
       response.fatal = reader.u8("error fatal flag") != 0;
       break;
-    }
     default:
       fail(kErrBadRequest,
            "unknown response frame type " + std::to_string(static_cast<unsigned>(response.type)));
   }
-  reader.expect_exhausted("response");
+  reader.expect_exhausted();
   return response;
 }
 
-// --- Connection session: negotiation + unified framing ---------------------
+// --- Connection session: negotiation + unified framing -----------------------
 
 ConnectionSession::ConnectionSession() : ConnectionSession(Limits{}) {}
 
@@ -1020,30 +953,28 @@ std::vector<WireEvent> ConnectionSession::consume(std::string_view bytes) {
 }
 
 void ConnectionSession::consume_text(std::string_view bytes, std::vector<WireEvent>& events) {
+  const ResponseEncoder encoder(Wire::kText);
+  // An over-long line, terminated or not, loses framing: the session must
+  // not wait for a terminator that may never come.
+  const auto line_too_long = [&] {
+    mode_ = Mode::kDead;
+    events.push_back(
+        {std::nullopt,
+         encoder.error(kErrTooLarge,
+                       "line exceeds " + std::to_string(limits_.max_line_bytes) + " bytes"),
+         true});
+  };
   line_buffer_.append(bytes.data(), bytes.size());
   std::size_t start = 0;
   while (mode_ == Mode::kText) {
     const std::size_t newline = line_buffer_.find('\n', start);
     if (newline == std::string::npos) {
       line_buffer_.erase(0, start);
-      if (line_buffer_.size() > limits_.max_line_bytes) {
-        // An unterminated line already over the limit: framing is lost.
-        mode_ = Mode::kDead;
-        events.push_back({std::nullopt,
-                          format_error(kErrTooLarge, "line exceeds " +
-                                                         std::to_string(limits_.max_line_bytes) +
-                                                         " bytes"),
-                          true});
-      }
+      if (line_buffer_.size() > limits_.max_line_bytes) line_too_long();
       return;
     }
     if (newline - start > limits_.max_line_bytes) {
-      mode_ = Mode::kDead;
-      events.push_back({std::nullopt,
-                        format_error(kErrTooLarge, "line exceeds " +
-                                                       std::to_string(limits_.max_line_bytes) +
-                                                       " bytes"),
-                        true});
+      line_too_long();
       return;
     }
     const std::string_view line(line_buffer_.data() + start, newline - start);
@@ -1054,7 +985,7 @@ void ConnectionSession::consume_text(std::string_view bytes, std::vector<WireEve
     } catch (const CodedError& e) {
       const bool drop = text_.framing_lost();
       if (drop) mode_ = Mode::kDead;
-      events.push_back({std::nullopt, format_error(e.code(), e.what()), drop});
+      events.push_back({std::nullopt, encoder.error(e.code(), e.what()), drop});
       if (drop) return;
     }
     start = newline + 1;

@@ -84,7 +84,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -212,7 +211,7 @@ class RequestParser {
 
   /// True when the parser is between requests (not inside a classify or
   /// stream-push body).
-  bool idle() const noexcept { return pending_ == nullptr && pending_push_ == nullptr; }
+  bool idle() const noexcept { return !pending_.has_value(); }
 
   /// True when the last consume_line error made the remaining connection
   /// input un-frameable, so the caller must drop the connection: any
@@ -226,14 +225,16 @@ class RequestParser {
  private:
   std::optional<Request> consume_header(std::string_view line);
   void consume_trial_header(std::string_view line);
-  void consume_sample_line(std::string_view line);
-  std::optional<Request> consume_push_sample_line(std::string_view line);
+  /// Parses a "samples=S" tail and starts filling `block` with S lines.
+  void begin_block(hd::Trial& block, std::string_view rest);
+  std::string_view body_kind() const;
 
-  std::unique_ptr<ClassifyRequest> pending_;
-  std::size_t remaining_trials_ = 0;
-  std::size_t remaining_samples_ = 0;  ///< 0 = expecting a "trial" header line
-  std::unique_ptr<StreamPushRequest> pending_push_;
-  std::size_t remaining_push_samples_ = 0;
+  /// The one pending body: a ClassifyRequest (K trial blocks, each opened
+  /// by a "trial" line) or a StreamPushRequest (one block, no "trial" line).
+  std::optional<Request> pending_;
+  hd::Trial* block_ = nullptr;         ///< the sample block now filling
+  std::size_t remaining_trials_ = 0;   ///< "trial" lines still to come
+  std::size_t remaining_samples_ = 0;  ///< lines still due for *block_; 0 = expecting "trial"
   bool framing_lost_ = false;
 };
 
@@ -297,8 +298,9 @@ struct ModelInfo {
 /// Which wire encoding a connection negotiated.
 enum class Wire { kText, kBinary };
 
-/// Formats responses in either wire encoding, so the request-handling code
-/// is written once and stays agnostic of what the connection negotiated.
+/// The one response encoder: formats every response in either wire
+/// encoding, so the request-handling code is written once and stays
+/// agnostic of what the connection negotiated.
 class ResponseEncoder {
  public:
   explicit ResponseEncoder(Wire wire) : wire_(wire) {}
@@ -307,6 +309,8 @@ class ResponseEncoder {
   std::string pong() const;
   std::string bye() const;
   std::string models(std::span<const ModelInfo> models) const;
+  /// `model` is the resolved model name the request was routed to (never
+  /// empty: default routing reports the default's real name).
   std::string classify(const std::string& model, std::span<const hd::AmDecision> decisions) const;
   std::string reload(std::span<const ReloadStatus> statuses) const;
   /// `model` is the resolved name the session pinned (never empty).
@@ -319,7 +323,9 @@ class ResponseEncoder {
   std::string stream_closed(std::uint64_t windows) const;
   /// `fatal` marks errors after which the server closes the connection;
   /// phd2 carries it as an explicit flag byte, phd1 implies it from the
-  /// error class (see docs/protocol.md).
+  /// error class (see docs/protocol.md). `code` must be a single token; on
+  /// phd1, newlines in `message` (and in reload messages) are flattened to
+  /// spaces so the response stays one row.
   std::string error(std::string_view code, std::string_view message, bool fatal = false) const;
 
  private:
@@ -384,25 +390,6 @@ class ConnectionSession {
   BinaryRequestParser binary_;
 };
 
-// --- Response serialization (server side) --------------------------------
-
-std::string format_pong();
-std::string format_bye();
-std::string format_models_response(std::span<const ModelInfo> models);
-/// `model` is the resolved model name the request was routed to (never
-/// empty: default routing reports the default's real name).
-std::string format_classify_response(const std::string& model,
-                                     std::span<const hd::AmDecision> decisions);
-std::string format_reload_response(std::span<const ReloadStatus> statuses);
-std::string format_stream_opened_response(const std::string& model, std::size_t window,
-                                          std::size_t hop);
-std::string format_stream_windows_response(std::uint64_t first_index,
-                                           std::span<const hd::AmDecision> decisions);
-std::string format_stream_closed_response(std::uint64_t windows);
-/// Newlines in `message` are flattened to spaces so the response stays one
-/// frame; `code` must be a single token.
-std::string format_error(std::string_view code, std::string_view message);
-
 // --- Request serialization + response parsing (client side) --------------
 
 /// Formats a complete classify request (header + trial blocks), exactly
@@ -413,13 +400,14 @@ std::string format_classify_request(const std::string& model, std::span<const hd
 
 /// Parses one "result ..." body line back into an AmDecision (label,
 /// winner distance, full distance row). Throws pulphd::CodedError
-/// (bad-request) on malformed lines. Round-trips format_classify_response.
+/// (bad-request) on malformed lines. Round-trips the text
+/// ResponseEncoder::classify rows.
 hd::AmDecision parse_result_line(std::string_view line);
 
 /// Parses one "window ..." body line of a stream-push response into its
 /// stream-wide window index and decision. Throws pulphd::CodedError
-/// (bad-request) on malformed lines. Round-trips
-/// format_stream_windows_response.
+/// (bad-request) on malformed lines. Round-trips the text
+/// ResponseEncoder::stream_windows rows.
 std::pair<std::uint64_t, hd::AmDecision> parse_window_line(std::string_view line);
 
 // --- Binary (phd2) client-side helpers ------------------------------------
@@ -428,12 +416,16 @@ std::pair<std::uint64_t, hd::AmDecision> parse_window_line(std::string_view line
 /// kFrameQuit). The caller still sends kBinaryMagic once, first.
 std::string format_binary_command(std::uint8_t type);
 
-/// A binary reload request frame ("" = reload every model).
+/// A binary reload request frame ("" = reload every model). Every binary
+/// formatter below throws std::invalid_argument on a model name longer than
+/// the 255 bytes its u8 length prefix can carry.
 std::string format_binary_reload_request(const std::string& model);
 
 /// A complete binary classify request frame. Samples travel as raw
 /// float32 little-endian bits — no text round-trip at all, so bit-exact
-/// by construction.
+/// by construction. Each trial is one (samples x channels) block, so a
+/// ragged trial (samples of unequal length) or more than 65,535 channels
+/// throws std::invalid_argument instead of being silently regrouped.
 std::string format_binary_classify_request(const std::string& model,
                                            std::span<const hd::Trial> trials);
 
@@ -442,7 +434,7 @@ std::string format_binary_stream_open_request(const std::string& model, std::uin
                                               std::uint32_t hop);
 
 /// A binary stream-push request frame: raw float32 little-endian samples,
-/// like classify.
+/// one block like a classify trial (same std::invalid_argument cases).
 std::string format_binary_stream_push_request(std::span<const hd::Sample> samples);
 // stream-close is body-less: format_binary_command(kFrameStreamClose).
 

@@ -403,7 +403,7 @@ void ClassifyServer::accept_ready(int listen_fd) {
       // Shed load at the door. The refusal is always the text encoding:
       // the connection never got to negotiate, and an error line is
       // readable in a terminal while a binary client fails fast anyway.
-      const std::string refusal = format_error(
+      const std::string refusal = ResponseEncoder(Wire::kText).error(
           kErrOverloaded, "server is at its connection limit (" +
                               std::to_string(config_.max_connections) + "); retry later");
       // Best-effort delivery on the non-blocking socket: a freshly accepted

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 namespace pulphd::hd {
 namespace {
 
@@ -54,6 +58,48 @@ TEST(HdClassifier, PredictBatchMatchesPredict) {
     const AmDecision single = clf.predict(trials[i]);
     EXPECT_EQ(batch[i].label, single.label);
     EXPECT_EQ(batch[i].distances, single.distances);
+  }
+}
+
+TEST(HdClassifier, CopiesAndMovesOutliveTheirSource) {
+  // Every copy/move must own its memories: after the source is gone, batch
+  // decisions and stream windows stay bit-identical to the source's.
+  ClassifierConfig cfg = tiny_config();
+  cfg.ngram = 2;
+  auto source = std::make_unique<HdClassifier>(cfg);
+  for (std::size_t c = 0; c < 3; ++c) source->train(class_trial(c, 0.3f), c);
+  std::vector<Trial> trials;
+  for (std::size_t c = 0; c < 3; ++c) trials.push_back(class_trial(c, 0.5f));
+  const auto stream_windows = [&trials](const HdClassifier& clf) {
+    StreamingEncoder encoder = clf.make_streaming_encoder();
+    encoder.configure(/*window=*/6, /*hop=*/3);
+    std::vector<Hypervector> windows;
+    encoder.push(trials[1], windows);
+    return windows;
+  };
+  const std::vector<AmDecision> expected = source->predict_batch(trials);
+  const std::vector<Hypervector> expected_windows = stream_windows(*source);
+  ASSERT_FALSE(expected_windows.empty());
+
+  const HdClassifier copied(*source);
+  ClassifierConfig other = tiny_config();
+  other.dim = 512;
+  other.channels = 3;
+  HdClassifier assigned(other);
+  assigned = *source;
+  const HdClassifier moved(std::move(*source));
+  source.reset();
+
+  const std::vector<const HdClassifier*> clones = {&copied, &assigned, &moved};
+  for (const HdClassifier* clf : clones) {
+    const std::vector<AmDecision> got = clf->predict_batch(trials);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].label, expected[i].label);
+      EXPECT_EQ(got[i].distance, expected[i].distance);
+      EXPECT_EQ(got[i].distances, expected[i].distances);
+    }
+    EXPECT_EQ(stream_windows(*clf), expected_windows);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -190,7 +191,7 @@ TEST(ServeProtocolRoundTrip, ResultLinesSurviveFormatting) {
   decisions[1].label = 0;
   decisions[1].distance = 0;
   decisions[1].distances = {0, 1};
-  const std::string wire = format_classify_response("m", decisions);
+  const std::string wire = ResponseEncoder(Wire::kText).classify("m", decisions);
   std::istringstream lines(wire);
   std::string header;
   ASSERT_TRUE(std::getline(lines, header));
@@ -210,14 +211,14 @@ TEST(ServeProtocolFormat, ModelsResponse) {
       {"subj0", 10000, 4, 5, 1, true},
       {"subj1", 10000, 4, 5, 1, false},
   };
-  EXPECT_EQ(format_models_response(infos),
+  EXPECT_EQ(ResponseEncoder(Wire::kText).models(infos),
             "ok models count=2\n"
             "model name=subj0 dim=10000 channels=4 classes=5 ngram=1 default=1\n"
             "model name=subj1 dim=10000 channels=4 classes=5 ngram=1 default=0\n");
 }
 
 TEST(ServeProtocolFormat, ErrorFlattensNewlines) {
-  EXPECT_EQ(format_error(kErrInternal, "boom\nsecond line"),
+  EXPECT_EQ(ResponseEncoder(Wire::kText).error(kErrInternal, "boom\nsecond line"),
             "err code=internal msg=boom second line\n");
 }
 
@@ -283,6 +284,38 @@ TEST(ServeBinaryParse, ClassifyRoundTripsBitExactly) {
   EXPECT_EQ(classify.model, "subj1");
   EXPECT_EQ(classify.trials, trials);
   EXPECT_TRUE(parser.idle());
+}
+
+TEST(ServeBinaryParse, RaggedTrialIsRejectedNotRegrouped) {
+  // Read as 3 x 2 floats, this trial would decode as {1,2},{3,4},{5,6}:
+  // a valid request for different data.
+  const std::vector<hd::Trial> ragged = {{{1, 2}, {3}, {4, 5, 6}}};
+  EXPECT_THROW((void)format_binary_classify_request("m", ragged), std::invalid_argument);
+  // One ragged trial among regular ones is just as unrepresentable.
+  const std::vector<hd::Trial> mixed = {{{1, 2}, {3, 4}}, {{1, 2}, {3, 4, 5}}};
+  EXPECT_THROW((void)format_binary_classify_request("m", mixed), std::invalid_argument);
+}
+
+TEST(ServeBinaryParse, RaggedStreamPushIsRejected) {
+  const std::vector<hd::Sample> ragged = {{1, 2, 3, 4}, {5, 6, 7}};
+  EXPECT_THROW((void)format_binary_stream_push_request(ragged), std::invalid_argument);
+  // More channels than the u16 channel count can carry.
+  const std::vector<hd::Sample> wide = {hd::Sample(65536, 1.0f)};
+  EXPECT_THROW((void)format_binary_stream_push_request(wide), std::invalid_argument);
+}
+
+TEST(ServeBinaryParse, OverlongModelNameIsRejectedNotWrapped) {
+  // 300 bytes would wrap the u8 length prefix to 44, and the server would
+  // then misread the rest of the name as the request body.
+  const std::string name(300, 'm');
+  const std::vector<hd::Trial> trials = {{{1, 2, 3, 4}}};
+  EXPECT_THROW((void)format_binary_classify_request(name, trials), std::invalid_argument);
+  EXPECT_THROW((void)format_binary_reload_request(name), std::invalid_argument);
+  EXPECT_THROW((void)format_binary_stream_open_request(name, 8, 2), std::invalid_argument);
+  // 255 bytes still fits (the server then rejects it as an invalid name).
+  BinaryRequestParser parser;
+  parser.feed(format_binary_classify_request(std::string(255, 'm'), trials));
+  EXPECT_EQ(binary_code_of(parser, ""), kErrBadRequest);
 }
 
 TEST(ServeBinaryParse, TruncatedLengthPrefixWaits) {
@@ -430,14 +463,38 @@ TEST(ServeBinaryResponses, RoundTripThroughResponseParser) {
   EXPECT_TRUE(parser.idle());
 }
 
-TEST(ServeBinaryResponses, TextEncoderMatchesLegacyFormatters) {
+TEST(ServeBinaryResponses, TextEncoderGoldenBytes) {
   const ResponseEncoder encoder(Wire::kText);
-  EXPECT_EQ(encoder.pong(), format_pong());
-  EXPECT_EQ(encoder.bye(), format_bye());
-  std::vector<hd::AmDecision> decisions(1);
-  decisions[0].distances = {1, 2, 3};
-  EXPECT_EQ(encoder.classify("m", decisions), format_classify_response("m", decisions));
-  EXPECT_EQ(encoder.error(kErrInternal, "boom"), format_error(kErrInternal, "boom"));
+  EXPECT_EQ(encoder.pong(), "ok pong\n");
+  EXPECT_EQ(encoder.bye(), "ok bye\n");
+
+  const std::vector<ModelInfo> infos = {{"subj0", 10000, 4, 5, 3, true},
+                                        {"subj1", 512, 8, 3, 1, false}};
+  EXPECT_EQ(encoder.models(infos),
+            "ok models count=2\n"
+            "model name=subj0 dim=10000 channels=4 classes=5 ngram=3 default=1\n"
+            "model name=subj1 dim=512 channels=8 classes=3 ngram=1 default=0\n");
+  EXPECT_EQ(encoder.models({}), "ok models count=0\n");
+
+  std::vector<hd::AmDecision> decisions(2);
+  decisions[0] = {2, 1234, {4000, 2222, 1234}};
+  decisions[1] = {0, 7, {7}};
+  EXPECT_EQ(encoder.classify("subj0", decisions),
+            "ok classify model=subj0 results=2\n"
+            "result label=2 distance=1234 distances=4000,2222,1234\n"
+            "result label=0 distance=7 distances=7\n");
+
+  // Reload detail is flattened onto its row like an error message; an
+  // empty message drops the msg= field entirely.
+  const std::vector<ReloadStatus> statuses = {{"subj0", true, ""},
+                                              {"subj1", false, "bad magic\r\nat byte 0"}};
+  EXPECT_EQ(encoder.reload(statuses),
+            "ok reload count=2\n"
+            "reload model=subj0 ok=1\n"
+            "reload model=subj1 ok=0 msg=bad magic  at byte 0\n");
+
+  EXPECT_EQ(encoder.error(kErrInternal, "boom\nagain", /*fatal=*/true),
+            "err code=internal msg=boom again\n");
 }
 
 // --- connection session: negotiation + framing -----------------------------
@@ -605,7 +662,8 @@ TEST(ServeProtocolRoundTrip, StreamWindowLinesSurviveFormatting) {
   decisions[1].label = 1;
   decisions[1].distance = 42;
   decisions[1].distances = {77, 42};
-  const std::string wire = format_stream_windows_response(/*first_index=*/7, decisions);
+  const std::string wire =
+      ResponseEncoder(Wire::kText).stream_windows(/*first_index=*/7, decisions);
   std::istringstream lines(wire);
   std::string header;
   ASSERT_TRUE(std::getline(lines, header));
@@ -619,8 +677,9 @@ TEST(ServeProtocolRoundTrip, StreamWindowLinesSurviveFormatting) {
     EXPECT_EQ(parsed.distance, decisions[w].distance);
     EXPECT_EQ(parsed.distances, decisions[w].distances);
   }
-  EXPECT_EQ(format_stream_opened_response("m", 8, 2), "ok stream-open model=m window=8 hop=2\n");
-  EXPECT_EQ(format_stream_closed_response(11), "ok stream-close windows=11\n");
+  EXPECT_EQ(ResponseEncoder(Wire::kText).stream_opened("m", 8, 2),
+            "ok stream-open model=m window=8 hop=2\n");
+  EXPECT_EQ(ResponseEncoder(Wire::kText).stream_closed(11), "ok stream-close windows=11\n");
   EXPECT_THROW((void)parse_window_line("window index=x label=1 distance=1 distances=1"),
                CodedError);
   EXPECT_THROW((void)parse_window_line("result label=1 distance=1 distances=1"), CodedError);
@@ -728,13 +787,18 @@ TEST(ServeBinaryResponses, StreamResponsesRoundTripThroughResponseParser) {
   EXPECT_TRUE(parser.idle());
 }
 
-TEST(ServeBinaryResponses, StreamTextEncoderMatchesLegacyFormatters) {
+TEST(ServeBinaryResponses, StreamTextEncoderGoldenBytes) {
   const ResponseEncoder encoder(Wire::kText);
-  std::vector<hd::AmDecision> decisions(1);
-  decisions[0].distances = {1, 2, 3};
-  EXPECT_EQ(encoder.stream_opened("m", 8, 2), format_stream_opened_response("m", 8, 2));
-  EXPECT_EQ(encoder.stream_windows(5, decisions), format_stream_windows_response(5, decisions));
-  EXPECT_EQ(encoder.stream_closed(9), format_stream_closed_response(9));
+  EXPECT_EQ(encoder.stream_opened("subj1", 8, 2), "ok stream-open model=subj1 window=8 hop=2\n");
+  std::vector<hd::AmDecision> decisions(2);
+  decisions[0] = {1, 3, {9, 3}};
+  decisions[1] = {0, 0, {0, 1}};
+  EXPECT_EQ(encoder.stream_windows(5, decisions),
+            "ok stream-push windows=2\n"
+            "window index=5 label=1 distance=3 distances=9,3\n"
+            "window index=6 label=0 distance=0 distances=0,1\n");
+  EXPECT_EQ(encoder.stream_windows(0, {}), "ok stream-push windows=0\n");
+  EXPECT_EQ(encoder.stream_closed(9), "ok stream-close windows=9\n");
 }
 
 TEST(ServeSession, MidRequestTracksPartialFramesAndLines) {

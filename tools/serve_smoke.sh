@@ -3,7 +3,9 @@
 # `pulphd_cli serve` on a Unix socket, then drive it with two scripted
 # python3 clients: a text phd1 session (models + routed classify +
 # default-route classify + quit) and a binary phd2 session (negotiation
-# plus a fully pipelined burst sent before any response is read), then
+# plus a fully pipelined burst sent before any response is read), streams
+# one CSV through `pulphd_cli stream` and through a phd1 text stream
+# session, checking both against offline per-window labels, then
 # exercises the reliability surface: SIGHUP hot reload, wire-request
 # reload, and a kill -9 mid-checkpoint (stalled rename failpoint) that
 # must leave the previous model byte-identical with only an inert .tmp
@@ -208,6 +210,48 @@ grep "^window " "$WORK/stream_out.txt" | awk '{print $1, $2, $3}' \
   > "$WORK/stream_labels.txt"
 diff "$WORK/offline_labels.txt" "$WORK/stream_labels.txt" \
   || { echo "streamed labels diverge from offline"; exit 1; }
+
+# The same CSV over a phd1 text stream session on one connection:
+# stream-open, two stream-push bodies with a classify pipelined between
+# them, stream-close. The classify must answer in request order between
+# the two pushes, and the window rows must carry the offline labels.
+python3 - "$WORK/phd.sock" "$WORK/stream.csv" "$WINDOW" "$HOP" \
+  > "$WORK/text_stream_out.txt" <<'EOF'
+import socket, sys
+
+sock_path, csv_path, window, hop = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4]
+with open(csv_path) as f:
+    rows = [line.strip().replace(",", " ") for line in f.readlines()[1:]]
+
+def push(samples):
+    return f"phd1 stream-push samples={len(samples)}\n" + "".join(s + "\n" for s in samples)
+
+request = (f"phd1 stream-open model=subj1 window={window} hop={hop}\n"
+           + push(rows[:10])
+           + "phd1 classify model=subj0 trials=1\ntrial samples=1\n1 2 3 4\n"
+           + push(rows[10:])
+           + "phd1 stream-close\nphd1 quit\n")
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sock_path)
+s.sendall(request.encode())
+buf = b""
+while True:
+    chunk = s.recv(65536)
+    if not chunk:
+        break
+    buf += chunk
+sys.stdout.write(buf.decode())
+EOF
+ORDER=$(grep "^ok " "$WORK/text_stream_out.txt" | awk '{print $2}' | tr '\n' ' ')
+[ "$ORDER" = "stream-open stream-push classify stream-push stream-close bye " ] \
+  || { echo "text stream answers out of order:"; cat "$WORK/text_stream_out.txt"; exit 1; }
+grep -q "^ok stream-close windows=$(wc -l < "$WORK/offline_labels.txt")$" \
+  "$WORK/text_stream_out.txt"
+grep "^window " "$WORK/text_stream_out.txt" \
+  | sed -E 's/^window index=([0-9]+) (label=[0-9]+) .*/window \1 \2/' \
+  > "$WORK/text_stream_labels.txt"
+diff "$WORK/offline_labels.txt" "$WORK/text_stream_labels.txt" \
+  || { echo "phd1 text stream labels diverge from offline"; exit 1; }
 
 # SIGHUP hot reload: retrain subj1 in place with a different seed, HUP
 # the daemon, and require that the same trial classifies differently —
