@@ -15,6 +15,11 @@
 //  * neon     — 128-bit lanes: `veorq` binding and `vcntq_u8` byte popcount
 //    with pairwise-widening accumulation (AArch64 / ARM with NEON).
 //
+// Componentwise majority has one implementation per backend: the bit-sliced
+// vertical counter of accumulate_counters / counters_to_majority.
+// threshold_words runs those same two kernels over a stack block of counter
+// planes, so spatial and temporal bundling share one counter.
+//
 // Selection happens lazily on first use: the `PULPHD_BACKEND` environment
 // variable (`portable`, `avx2` or `neon`) overrides; otherwise the widest
 // backend whose instructions the CPU reports is chosen. All backends are
@@ -60,7 +65,12 @@ struct Backend {
   /// Bulk thresholded bundling: bit b of out[w] is set iff more than
   /// `threshold` of the `num_rows` input rows have bit b of word w set.
   /// With threshold = num_rows / 2 and an odd row count this is the exact
-  /// componentwise majority of hd::majority. num_rows must be >= 1.
+  /// componentwise majority of hd::majority. Requires num_rows >= 1 and
+  /// threshold < 2^counter_planes_for(num_rows) (bitsliced.hpp); larger
+  /// thresholds lose their high bits. Runs this backend's
+  /// accumulate_counters over every row into counter_planes_for(num_rows)
+  /// stack planes per block of words, then counters_to_majority with no
+  /// tie-break.
   void (*threshold_words)(const Word* const* rows, std::size_t num_rows,
                           std::size_t threshold, Word* out, std::size_t n) noexcept;
 
@@ -69,9 +79,9 @@ struct Backend {
   /// plane-major (plane p spans planes[p*n, p*n + n)), plane 0 the LSB.
   /// Every column whose row bit is set is incremented with a ripple of
   /// half-adders; a column already at 2^num_planes - 1 saturates there
-  /// instead of wrapping. Unlike threshold_words this never needs the rows
-  /// materialized together, so a whole trial's n-grams bundle one row at a
-  /// time with O(num_planes) state.
+  /// instead of wrapping. The rows never need to be materialized together,
+  /// so a whole trial's n-grams bundle one row at a time with
+  /// O(num_planes) state.
   void (*accumulate_counters)(const Word* row, Word* planes, unsigned num_planes,
                               std::size_t n) noexcept;
 

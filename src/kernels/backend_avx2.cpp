@@ -12,6 +12,11 @@
 // < 256 per byte lane), then vpsadbw folds them into four u64 lanes. For
 // the paper's 313/314-word rows this is one vpsadbw per row — the whole
 // distance inner loop runs ~4 instructions per 32 bytes.
+//
+// Counter kernels: the half-adder ripple and the MSB-first comparator
+// readout run 256 columns per pass over plane-major counters in memory.
+// threshold_words is the shared blocked body over these two kernels
+// (backend_registry.hpp).
 #include <immintrin.h>
 
 #include "kernels/backend_registry.hpp"
@@ -82,41 +87,6 @@ void xor_words_avx2(const Word* a, const Word* b, Word* out, std::size_t n) noex
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), _mm256_xor_si256(va, vb));
   }
   for (; w < n; ++w) out[w] = a[w] ^ b[w];
-}
-
-void threshold_words_avx2(const Word* const* rows, std::size_t num_rows,
-                          std::size_t threshold, Word* out, std::size_t n) noexcept {
-  // Same bit-sliced vertical counter as the portable kernel, eight words
-  // per ripple: the planes live in 256-bit registers, so one pass over the
-  // rows updates 256 output components at once.
-  const unsigned planes = threshold_planes(num_rows);
-  __m256i counter[kMaxThresholdPlanes];
-  std::size_t w = 0;
-  for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    for (unsigned p = 0; p < planes; ++p) counter[p] = _mm256_setzero_si256();
-    for (std::size_t r = 0; r < num_rows; ++r) {
-      __m256i carry = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w));
-      for (unsigned p = 0; p < planes; ++p) {
-        const __m256i next_carry = _mm256_and_si256(counter[p], carry);
-        counter[p] = _mm256_xor_si256(counter[p], carry);
-        carry = next_carry;
-      }
-    }
-    __m256i gt = _mm256_setzero_si256();
-    __m256i eq = _mm256_set1_epi32(-1);
-    for (unsigned p = planes; p-- > 0;) {
-      const __m256i tbit = (threshold >> p) & 1u ? _mm256_set1_epi32(-1)
-                                                 : _mm256_setzero_si256();
-      gt = _mm256_or_si256(
-          gt, _mm256_andnot_si256(tbit, _mm256_and_si256(eq, counter[p])));
-      eq = _mm256_andnot_si256(_mm256_xor_si256(counter[p], tbit), eq);
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), gt);
-  }
-  // Sub-vector tail: the portable kernel's shared scalar per-word body.
-  for (; w < n; ++w) {
-    out[w] = threshold_word_scalar(rows, num_rows, threshold, planes, w);
-  }
 }
 
 void accumulate_counters_avx2(const Word* row, Word* planes, unsigned num_planes,
@@ -193,7 +163,8 @@ const Backend kAvx2Backend = {
     .hamming_words = hamming_words_avx2,
     .hamming_rows = hamming_rows_avx2,
     .xor_words = xor_words_avx2,
-    .threshold_words = threshold_words_avx2,
+    .threshold_words =
+        threshold_words_via_counters<accumulate_counters_avx2, counters_to_majority_avx2>,
     .accumulate_counters = accumulate_counters_avx2,
     .counters_to_majority = counters_to_majority_avx2,
 };

@@ -67,38 +67,6 @@ void xor_words_neon(const Word* a, const Word* b, Word* out, std::size_t n) noex
   for (; w < n; ++w) out[w] = a[w] ^ b[w];
 }
 
-void threshold_words_neon(const Word* const* rows, std::size_t num_rows,
-                          std::size_t threshold, Word* out, std::size_t n) noexcept {
-  // Bit-sliced vertical counter, four words per ripple (see the portable
-  // kernel for the algorithm; planes live in 128-bit registers here).
-  const unsigned planes = threshold_planes(num_rows);
-  uint32x4_t counter[kMaxThresholdPlanes];
-  std::size_t w = 0;
-  for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    for (unsigned p = 0; p < planes; ++p) counter[p] = vdupq_n_u32(0);
-    for (std::size_t r = 0; r < num_rows; ++r) {
-      uint32x4_t carry = vld1q_u32(rows[r] + w);
-      for (unsigned p = 0; p < planes; ++p) {
-        const uint32x4_t next_carry = vandq_u32(counter[p], carry);
-        counter[p] = veorq_u32(counter[p], carry);
-        carry = next_carry;
-      }
-    }
-    uint32x4_t gt = vdupq_n_u32(0);
-    uint32x4_t eq = vdupq_n_u32(~0u);
-    for (unsigned p = planes; p-- > 0;) {
-      const uint32x4_t tbit = vdupq_n_u32((threshold >> p) & 1u ? ~0u : 0u);
-      gt = vorrq_u32(gt, vbicq_u32(vandq_u32(eq, counter[p]), tbit));
-      eq = vbicq_u32(eq, veorq_u32(counter[p], tbit));
-    }
-    vst1q_u32(out + w, gt);
-  }
-  // Sub-vector tail: the portable kernel's shared scalar per-word body.
-  for (; w < n; ++w) {
-    out[w] = threshold_word_scalar(rows, num_rows, threshold, planes, w);
-  }
-}
-
 // True when every lane of v is zero; written with vget/vorr so it compiles
 // on ARMv7 NEON too (vmaxvq_u32 is AArch64-only).
 inline bool all_zero_u32(uint32x4_t v) noexcept {
@@ -169,7 +137,8 @@ const Backend kNeonBackend = {
     .hamming_words = hamming_words_neon,
     .hamming_rows = hamming_rows_neon,
     .xor_words = xor_words_neon,
-    .threshold_words = threshold_words_neon,
+    .threshold_words =
+        threshold_words_via_counters<accumulate_counters_neon, counters_to_majority_neon>,
     .accumulate_counters = accumulate_counters_neon,
     .counters_to_majority = counters_to_majority_neon,
 };

@@ -3,8 +3,8 @@
 // the packed words in 64-bit chunks — one popcount per two 32-bit words —
 // which is the widest datapath ISO C++ guarantees; where the target lacks a
 // popcount instruction the compiler's SWAR expansion costs the same either
-// way. The threshold kernel is the bit-sliced vertical counter formerly
-// inlined in hd::majority.
+// way. The counter kernels are the bit-sliced vertical counter, one scalar
+// word column at a time; threshold_words runs on them (backend_registry.hpp).
 #include <bit>
 #include <cstring>
 
@@ -47,18 +47,6 @@ void xor_words_portable(const Word* a, const Word* b, Word* out, std::size_t n) 
   for (std::size_t w = 0; w < n; ++w) out[w] = a[w] ^ b[w];
 }
 
-void threshold_words_portable(const Word* const* rows, std::size_t num_rows,
-                              std::size_t threshold, Word* out, std::size_t n) noexcept {
-  // Per output word keep a vertical counter of ceil(log2(num_rows + 1))
-  // planes, add each row's bits with a ripple of half-adders, then evaluate
-  // count > threshold with a bitwise MSB-first comparator (the shared
-  // scalar body in backend_registry.hpp).
-  const unsigned planes = threshold_planes(num_rows);
-  for (std::size_t w = 0; w < n; ++w) {
-    out[w] = threshold_word_scalar(rows, num_rows, threshold, planes, w);
-  }
-}
-
 void accumulate_counters_portable(const Word* row, Word* planes, unsigned num_planes,
                                   std::size_t n) noexcept {
   for (std::size_t w = 0; w < n; ++w) {
@@ -86,7 +74,8 @@ const Backend kPortableBackend = {
     .hamming_words = hamming_words_portable,
     .hamming_rows = hamming_rows_portable,
     .xor_words = xor_words_portable,
-    .threshold_words = threshold_words_portable,
+    .threshold_words =
+        threshold_words_via_counters<accumulate_counters_portable, counters_to_majority_portable>,
     .accumulate_counters = accumulate_counters_portable,
     .counters_to_majority = counters_to_majority_portable,
 };

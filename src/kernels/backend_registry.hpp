@@ -3,12 +3,17 @@
 //
 // The SIMD descriptors exist exactly when their TU is compiled (the CMake
 // arch checks define PULPHD_HAVE_AVX2 / PULPHD_HAVE_NEON for the whole
-// library). threshold_word_scalar is the single scalar body the portable
-// threshold kernel and every SIMD backend's sub-vector tail share, so tail
-// bits can never diverge from the reference.
+// library). The scalar per-word counter bodies below are shared by the
+// portable kernels and every SIMD backend's sub-vector tail, so tail bits
+// can never diverge from the reference; threshold_words_via_counters is the
+// one threshold kernel, instantiated by each backend over its own counter
+// kernels.
 #pragma once
 
+#include <cstring>
+
 #include "kernels/backend.hpp"
+#include "kernels/bitsliced.hpp"
 
 namespace pulphd::kernels::detail {
 
@@ -19,45 +24,6 @@ extern const Backend kAvx2Backend;
 #if defined(PULPHD_HAVE_NEON)
 extern const Backend kNeonBackend;
 #endif
-
-/// Counter planes needed by the bit-sliced threshold kernels: enough for
-/// any realistic row count (2^48 rows would exhaust memory long before).
-inline constexpr unsigned kMaxThresholdPlanes = 48;
-
-/// ceil(log2(num_rows + 1)), capped at kMaxThresholdPlanes.
-constexpr unsigned threshold_planes(std::size_t num_rows) noexcept {
-  unsigned planes = 1;
-  while (planes < kMaxThresholdPlanes && (std::uint64_t{1} << planes) <= num_rows) ++planes;
-  return planes;
-}
-
-/// One output word of the bit-sliced threshold kernel: a vertical counter
-/// of `planes` ripple-added planes over word `w` of every row, then a
-/// bitwise MSB-first count > threshold comparator. The single scalar body
-/// shared by the portable kernel and every SIMD backend's sub-vector tail —
-/// tail bits must never diverge from the reference.
-inline Word threshold_word_scalar(const Word* const* rows, std::size_t num_rows,
-                                  std::size_t threshold, unsigned planes,
-                                  std::size_t w) noexcept {
-  Word counter[kMaxThresholdPlanes];
-  for (unsigned p = 0; p < planes; ++p) counter[p] = 0;
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    Word carry = rows[r][w];
-    for (unsigned p = 0; p < planes && carry != 0; ++p) {
-      const Word next_carry = counter[p] & carry;
-      counter[p] ^= carry;
-      carry = next_carry;
-    }
-  }
-  Word gt = 0;
-  Word eq = ~Word{0};
-  for (unsigned p = planes; p-- > 0;) {
-    const Word tbit = (threshold >> p) & 1u ? ~Word{0} : Word{0};
-    gt |= eq & counter[p] & ~tbit;
-    eq &= ~(counter[p] ^ tbit);
-  }
-  return gt;
-}
 
 /// One word column of the saturating streaming accumulate
 /// (Backend::accumulate_counters): ripple-add the row bits into the
@@ -97,6 +63,30 @@ inline Word counters_majority_word_scalar(const Word* planes, unsigned num_plane
     eq &= ~(plane ^ tbit);
   }
   return gt | (eq & tie_break_word);
+}
+
+/// Counter-plane words one threshold_words block keeps on the stack. At 3
+/// planes (up to 7 rows) a block spans 682 words, so the paper's 5-row ×
+/// 313-word spatial majority is a single block.
+inline constexpr std::size_t kThresholdBlockWords = 2048;
+
+/// Backend::threshold_words over a backend's own counter kernels. Per block
+/// of words: zero a stack block of counter_planes_for(num_rows) planes,
+/// accumulate every row into it, then read it out with no tie-break. The
+/// planes hold num_rows without saturating, so for any threshold below
+/// 2^planes the readout is the exact count > threshold of every column.
+template <auto Accumulate, auto Readout>
+void threshold_words_via_counters(const Word* const* rows, std::size_t num_rows,
+                                  std::size_t threshold, Word* out, std::size_t n) noexcept {
+  const unsigned planes = counter_planes_for(num_rows);
+  const std::size_t block = kThresholdBlockWords / planes;
+  alignas(64) Word counter[kThresholdBlockWords];
+  for (std::size_t begin = 0; begin < n; begin += block) {
+    const std::size_t len = n - begin < block ? n - begin : block;
+    std::memset(counter, 0, planes * len * sizeof(Word));
+    for (std::size_t r = 0; r < num_rows; ++r) Accumulate(rows[r] + begin, counter, planes, len);
+    Readout(counter, planes, threshold, nullptr, out + begin, len);
+  }
 }
 
 }  // namespace pulphd::kernels::detail

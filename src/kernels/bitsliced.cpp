@@ -14,8 +14,7 @@ void majority_range_bitsliced(sim::CoreContext& ctx,
   require(rows.size() % 2 == 1, "majority_range_bitsliced: operand count must be odd");
   const std::size_t n = rows.size();
   const std::size_t threshold = n / 2;
-  unsigned planes = 1;
-  while ((std::size_t{1} << planes) <= n) ++planes;
+  const unsigned planes = counter_planes_for(n);
 
   std::vector<Word> counter(planes);
   for (std::size_t w = begin; w < end; ++w) {
@@ -52,12 +51,6 @@ void majority_range_bitsliced(sim::CoreContext& ctx,
     ctx.addr_update(1);
     out[w] = gt;
   }
-}
-
-unsigned counter_planes_for(std::size_t adds) noexcept {
-  unsigned planes = 1;
-  while (planes < 48 && (std::uint64_t{1} << planes) <= adds) ++planes;
-  return planes;
 }
 
 void CounterBundle::reset(std::size_t words, std::size_t expected_adds) {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -30,17 +31,25 @@ void majority_range_bitsliced(sim::CoreContext& ctx,
                               std::span<Word> out, std::size_t begin, std::size_t end);
 
 /// Counter planes needed to hold `adds` single-bit additions without
-/// saturating: ceil(log2(adds + 1)), and at least 1.
-unsigned counter_planes_for(std::size_t adds) noexcept;
+/// saturating: ceil(log2(adds + 1)), at least 1 and at most 48. The one
+/// plane count of every bit-sliced counter: CounterBundle,
+/// Backend::threshold_words and majority_range_bitsliced.
+constexpr unsigned counter_planes_for(std::size_t adds) noexcept {
+  unsigned planes = 1;
+  while (planes < 48 && (std::uint64_t{1} << planes) <= adds) ++planes;
+  return planes;
+}
 
 /// Host-side saturating bit-sliced counter bundle — the per-window
 /// accumulator of hd::StreamingEncoder, the trial encoder. Rows stream in
 /// one at a time through the dispatched Backend::accumulate_counters kernel
-/// into plane-major vertical-counter storage; `majority()` reads the bundled hypervector back out through
-/// Backend::counters_to_majority. Bit-exact with hd::BundleAccumulator over
-/// the same rows (verified in tests), at word rather than set-bit
-/// granularity and with O(planes * words) state instead of O(dim) 32-bit
-/// counts.
+/// into heap-held plane-major counters; `majority()` reads the bundle out
+/// through Backend::counters_to_majority. These are the same two kernels
+/// Backend::threshold_words runs over a stack block for the spatial
+/// majority, so there is one counter implementation per backend. Bit-exact
+/// with hd::BundleAccumulator over the same rows (verified in tests), at
+/// word rather than set-bit granularity and with O(planes * words) state
+/// instead of O(dim) 32-bit counts.
 class CounterBundle {
  public:
   /// Prepares (and zeroes) planes wide enough for up to `expected_adds`

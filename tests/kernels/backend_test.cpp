@@ -1,7 +1,9 @@
 // Bit-exact equivalence of every compiled kernel backend against the
 // portable SWAR reference, across dimensions that exercise every tail shape
-// (sub-word, exact-word, word+1, the paper's 313-word rows and the 10,048-D
-// bench config), empty/1/3/129-row batches and 1-vs-N thread counts; plus
+// (sub-word, exact-word, word+1, the paper's 313-word rows, the 10,048-D
+// bench config and a multi-block threshold), empty/1/3/129-row batches and
+// 1-vs-N thread counts; the counter and threshold kernels are also checked
+// against naive per-column counts, since portable shares their code. Plus
 // the dispatch contract: PULPHD_BACKEND is honored, unknown values fail
 // with a clear error.
 #include "kernels/backend.hpp"
@@ -22,8 +24,10 @@ namespace {
 
 // Every tail shape the word loops can see: dims 63/64/65 straddle the
 // 64-bit SWAR chunk, 255/256/257 straddle the 256-bit AVX2 vector, 10016
-// (= 313 * 32) is the paper's row, 10048 the bench config.
-const std::size_t kDims[] = {1, 31, 63, 64, 65, 255, 256, 257, 10016, 10048};
+// (= 313 * 32) is the paper's row, 10048 the bench config, and 32000
+// (1000 words) splits even a 5-row threshold_words majority into two
+// counter-plane blocks.
+const std::size_t kDims[] = {1, 31, 63, 64, 65, 255, 256, 257, 10016, 10048, 32000};
 
 std::vector<Word> random_row(std::size_t dim, Xoshiro256StarStar& rng) {
   std::vector<Word> row(words_for_dim(dim));
@@ -141,6 +145,21 @@ TEST(BackendEquivalence, XorWordsMatchesPortableOnAllTailShapes) {
   }
 }
 
+// Naive per-column threshold, independent of every backend's counter
+// kernels: bit i is set iff more than `threshold` rows set it.
+std::vector<Word> threshold_reference(const std::vector<std::vector<Word>>& rows,
+                                      std::size_t dim, std::size_t threshold) {
+  std::vector<Word> out(words_for_dim(dim), 0);
+  for (std::size_t i = 0; i < dim; ++i) {
+    std::size_t count = 0;
+    for (const auto& row : rows) {
+      count += extract_bit(row[i / kWordBits], static_cast<unsigned>(i % kWordBits));
+    }
+    if (count > threshold) out[i / kWordBits] |= Word{1} << (i % kWordBits);
+  }
+  return out;
+}
+
 TEST(BackendEquivalence, ThresholdWordsMatchesPortable) {
   Xoshiro256StarStar rng(0xb003);
   const std::size_t kRowCounts[] = {1, 3, 5, 9, 33, 129};
@@ -157,9 +176,14 @@ TEST(BackendEquivalence, ThresholdWordsMatchesPortable) {
       // The majority threshold plus the boundary thresholds 0 and n-1.
       const std::size_t thresholds[] = {num_rows / 2, 0, num_rows - 1};
       for (const std::size_t threshold : thresholds) {
-        std::vector<Word> ref(words);
+        // Portable runs the same counter template as every other backend,
+        // so it is itself checked against the naive count.
+        const std::vector<Word> expected = threshold_reference(storage, dim, threshold);
+        std::vector<Word> ref(words, 0xdeadbeefu);
         portable_backend().threshold_words(rows.data(), num_rows, threshold, ref.data(),
                                            words);
+        ASSERT_EQ(ref, expected) << "portable dim " << dim << " rows " << num_rows
+                                 << " threshold " << threshold;
         for (const Backend* backend : compiled_backends()) {
           if (!backend->supported()) continue;
           std::vector<Word> out(words, 0xdeadbeefu);
@@ -321,11 +345,13 @@ TEST(BackendEquivalence, CountersToMajorityMatchesPortable) {
 }
 
 TEST(BackendEquivalence, CounterKernelsRoundTripMajorityAgainstThresholdWords) {
-  // Streaming accumulate + readout over k rows must equal the one-shot
-  // threshold_words majority over the same rows (both through portable).
+  // Streaming accumulate + readout over k rows and the one-shot
+  // threshold_words majority must both equal the naive per-column majority
+  // over the same rows (both through portable). threshold_words runs on the
+  // same counter kernels, so only the naive count is an independent check.
   Xoshiro256StarStar rng(0xb007);
   const std::size_t kRowCounts[] = {1, 3, 9, 21};
-  for (const std::size_t dim : {65u, 10016u}) {
+  for (const std::size_t dim : {65u, 10016u, 32000u}) {
     const std::size_t words = words_for_dim(dim);
     for (const std::size_t num_rows : kRowCounts) {
       std::vector<std::vector<Word>> storage;
@@ -334,9 +360,11 @@ TEST(BackendEquivalence, CounterKernelsRoundTripMajorityAgainstThresholdWords) {
         storage.push_back(random_row(dim, rng));
         rows[r] = storage.back().data();
       }
-      std::vector<Word> expected(words);
+      const std::vector<Word> expected = threshold_reference(storage, dim, num_rows / 2);
+      std::vector<Word> one_shot(words);
       portable_backend().threshold_words(rows.data(), num_rows, num_rows / 2,
-                                         expected.data(), words);
+                                         one_shot.data(), words);
+      EXPECT_EQ(one_shot, expected) << "threshold_words dim " << dim << " rows " << num_rows;
       unsigned num_planes = 1;
       while ((std::size_t{1} << num_planes) <= num_rows) ++num_planes;
       std::vector<Word> planes(num_planes * words, 0);
