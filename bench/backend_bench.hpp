@@ -207,7 +207,7 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
                      word_bytes);
       }
 
-      // spatial_encode_batch: the packed multi-sample spatial encode.
+      // spatial_encode_batch: the 4-channel batch spatial encode.
       {
         const std::size_t channels = 4;
         const hd::ItemMemory im(channels, dim, 5);
@@ -224,10 +224,11 @@ inline std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
         const double ns = detail::median_ns_per_item(
             [&] { enc.encode_batch(samples, out); }, encode_batch, warmup, reps,
             target_ms);
-        // Bound rows: channels + tie-break; bind streams 3R, majority R+1.
-        const double bench_rows = static_cast<double>(channels + 1);
+        // Closed-form bind + majority: reads one IM and one CIM row per
+        // channel and writes the output row; no bound row is materialized.
         push_row("spatial_encode_batch", backend, 1, dim, encode_batch, ns,
-                 (4.0 * bench_rows + 1.0) * static_cast<double>(words) * word_bytes);
+                 (2.0 * static_cast<double>(channels) + 1.0) * static_cast<double>(words) *
+                     word_bytes);
       }
     }
 

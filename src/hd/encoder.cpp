@@ -1,6 +1,7 @@
 #include "hd/encoder.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "common/status.hpp"
@@ -11,11 +12,12 @@ namespace pulphd::hd {
 
 namespace {
 
-// Per-thread scratch arena backing encode / encode_batch: the packed bound
-// channel rows of a chunk of samples plus the row-pointer table handed to
-// the backend's threshold kernel. thread_local keeps the serial path and
-// every encode_trials shard allocation-free after warmup without any
-// sharing between threads.
+// Per-thread scratch arena backing encode / encode_batch for more than
+// kBindMajorityMaxChannels channels: the packed bound channel rows of a
+// chunk of samples plus the row-pointer table handed to the backend's
+// threshold kernel. thread_local keeps the serial path and every
+// encode_trials shard allocation-free after warmup without any sharing
+// between threads.
 struct SpatialArena {
   std::vector<Word> rows;
   std::vector<const Word*> row_ptrs;
@@ -70,9 +72,26 @@ std::vector<Hypervector> SpatialEncoder::bind_channels(std::span<const float> sa
   return bound;
 }
 
+void SpatialEncoder::bind_majority(std::span<const float> sample,
+                                   const kernels::Backend& backend, Word* out) const {
+  std::array<const Word*, kernels::kBindMajorityMaxChannels> items{};
+  std::array<const Word*, kernels::kBindMajorityMaxChannels> levels{};
+  for (std::size_t c = 0; c < channels_; ++c) {
+    items[c] = im_->at(c).words().data();
+    levels[c] = cim_->encode(sample[c]).words().data();
+  }
+  backend.bind_majority_words(items.data(), levels.data(), channels_, out,
+                              words_for_dim(dim()));
+}
+
 Hypervector SpatialEncoder::encode(std::span<const float> sample) const {
   require(sample.size() == channels_, "SpatialEncoder: sample size != channel count");
   const kernels::Backend& backend = kernels::active_backend();
+  if (channels_ <= kernels::kBindMajorityMaxChannels) {
+    Hypervector out(dim());
+    bind_majority(sample, backend, out.mutable_words().data());
+    return out;
+  }
   const std::size_t words = words_for_dim(dim());
   const std::size_t rows = bound_rows();
   SpatialArena& arena = spatial_arena();
@@ -92,6 +111,17 @@ void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
           "SpatialEncoder::encode_batch: samples/out size mismatch");
   if (samples.empty()) return;
   const kernels::Backend& backend = kernels::active_backend();
+  if (channels_ <= kernels::kBindMajorityMaxChannels) {
+    // Closed form: each sample's majority goes straight into its output
+    // hypervector, with no bound rows and no arena.
+    for (std::size_t s = 0; s < samples.size(); ++s) {
+      require(samples[s].size() == channels_,
+              "SpatialEncoder::encode_batch: sample size != channel count");
+      require(out[s].dim() == dim(), "SpatialEncoder::encode_batch: output dimension mismatch");
+      bind_majority(samples[s], backend, out[s].mutable_words().data());
+    }
+    return;
+  }
   const std::size_t words = words_for_dim(dim());
   const std::size_t rows = bound_rows();
   const std::size_t words_per_sample = rows * words;

@@ -40,18 +40,24 @@ class SpatialEncoder {
   std::size_t dim() const noexcept { return im_->dim(); }
 
   /// Encodes one multichannel sample (one value per channel, in the CIM's
-  /// physical units). `sample.size()` must equal `channels()`. The bound
-  /// channel rows are gathered into a per-thread scratch arena reused
-  /// across calls — no per-sample heap allocation.
+  /// physical units). `sample.size()` must equal `channels()`. Up to
+  /// kernels::kBindMajorityMaxChannels channels (the paper's 4 EMG
+  /// channels included), the backend's closed-form bind_majority_words
+  /// writes the majority straight from the IM and CIM rows. Wider samples
+  /// gather their bound channel rows into a per-thread scratch arena reused
+  /// across calls and bundle them through threshold_words — no per-sample
+  /// heap allocation either way.
   Hypervector encode(std::span<const float> sample) const;
 
   /// Packed batch encode: encodes samples[i] into out[i]; both spans must
   /// have equal length and every out[i] must already be a hypervector of
-  /// dim() components. Bit-identical to calling encode() per sample, but
-  /// the quantized CIM/IM rows of a whole chunk of samples are gathered
-  /// into one contiguous packed word matrix (the same reused per-thread
-  /// arena) and the channel majority then runs word-parallel over the
-  /// packed rows, sample after sample, with zero heap churn.
+  /// dim() components. Bit-identical to calling encode() per sample. Up to
+  /// kernels::kBindMajorityMaxChannels channels every sample runs the
+  /// closed form straight into out[i]; wider samples gather the bound rows
+  /// of a whole chunk into one contiguous packed word matrix (the same
+  /// reused per-thread arena) and the channel majority then runs
+  /// word-parallel over the packed rows, sample after sample, with zero
+  /// heap churn.
   void encode_batch(std::span<const std::vector<float>> samples,
                     std::span<Hypervector> out) const;
 
@@ -66,6 +72,11 @@ class SpatialEncoder {
   std::size_t bound_rows() const noexcept {
     return channels_ + (channels_ % 2 == 0 ? 1 : 0);
   }
+
+  /// The closed-form encode of one sample into `out` (channels() <=
+  /// kernels::kBindMajorityMaxChannels).
+  void bind_majority(std::span<const float> sample, const kernels::Backend& backend,
+                     Word* out) const;
 
   void bind_sample_rows(std::span<const float> sample, const kernels::Backend& backend,
                         Word* rows) const;

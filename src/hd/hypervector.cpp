@@ -105,42 +105,47 @@ Hypervector Hypervector::rotated(std::size_t k) const {
 void Hypervector::rotate_into(Hypervector& dst, std::size_t k) const {
   require(dst.dim_ == dim_, "Hypervector::rotate_into: dimension mismatch");
   require(&dst != this, "Hypervector::rotate_into: dst must not alias the source");
+  // Output component (i + k) mod dim takes input component i — a left
+  // rotation in component order. Read the packed words as one dim-bit
+  // integer x (word 0 least significant); the rotation is then
+  //   (x << k) | (x >> (dim - k))
+  // done as two multiword funnel shifts, each word built from two
+  // neighbouring source words. The left shift spills past dim into the
+  // padding, which clear_padding drops; the right shift only fills the
+  // low k bits, which the left shift left zero.
   k %= dim_;
-  if (k == 0) {
-    std::copy(words_.begin(), words_.end(), dst.words_.begin());
-    return;
-  }
-  std::fill(dst.words_.begin(), dst.words_.end(), Word{0});
-  // Component i of the output takes component (i + dim - k) % dim of the
-  // input, i.e. every component moves k positions towards the MSB end —
-  // a left rotation in component order.
-  //
-  // General D means the rotation does not align to word boundaries; do it
-  // in two block copies with bit offsets, gathering up to one word of
-  // source bits per step instead of moving single bits (rotation sits under
-  // every N-gram encode, so the bit-serial version dominated temporal
-  // encoding).
-  const auto copy_range = [&](std::size_t src_begin, std::size_t dst_begin, std::size_t count) {
-    std::size_t done = 0;
-    while (done < count) {
-      const std::size_t dst_pos = dst_begin + done;
-      const auto dst_bit = static_cast<unsigned>(dst_pos % kWordBits);
-      const std::size_t chunk =
-          std::min<std::size_t>(kWordBits - dst_bit, count - done);
-      const std::size_t src_pos = src_begin + done;
-      const std::size_t src_word = src_pos / kWordBits;
-      const auto src_bit = static_cast<unsigned>(src_pos % kWordBits);
-      Word bits = words_[src_word] >> src_bit;
-      if (src_bit != 0 && src_bit + chunk > kWordBits && src_word + 1 < words_.size()) {
-        bits |= words_[src_word + 1] << (kWordBits - src_bit);
-      }
-      bits &= low_bits_mask(static_cast<unsigned>(chunk));
-      dst.words_[dst_pos / kWordBits] |= bits << dst_bit;
-      done += chunk;
+  const std::size_t n = words_.size();
+  const Word* x = words_.data();
+  Word* out = dst.words_.data();
+  // x << k: word offset q, bit offset r.
+  const std::size_t q = k / kWordBits;
+  const unsigned r = static_cast<unsigned>(k % kWordBits);
+  std::fill(out, out + q, Word{0});
+  if (r == 0) {
+    std::copy(x, x + (n - q), out + q);
+  } else {
+    out[q] = x[0] << r;
+    for (std::size_t w = q + 1; w < n; ++w) {
+      out[w] = (x[w - q] << r) | (x[w - q - 1] >> (kWordBits - r));
     }
-  };
-  copy_range(0, k, dim_ - k);
-  copy_range(dim_ - k, 0, k);
+  }
+  if (k != 0) {
+    // |= x >> (dim - k): word offset q, bit offset r again; only the low
+    // n - q words can receive bits.
+    const std::size_t shift = dim_ - k;
+    const std::size_t qs = shift / kWordBits;
+    const unsigned rs = static_cast<unsigned>(shift % kWordBits);
+    const std::size_t m = n - qs;
+    if (rs == 0) {
+      for (std::size_t w = 0; w < m; ++w) out[w] |= x[w + qs];
+    } else {
+      for (std::size_t w = 0; w + 1 < m; ++w) {
+        out[w] |= (x[w + qs] >> rs) | (x[w + qs + 1] << (kWordBits - rs));
+      }
+      out[m - 1] |= x[n - 1] >> rs;
+    }
+  }
+  dst.clear_padding();
 }
 
 void Hypervector::clear_padding() noexcept {

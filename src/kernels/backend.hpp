@@ -18,7 +18,10 @@
 // Componentwise majority has one implementation per backend: the bit-sliced
 // vertical counter of accumulate_counters / counters_to_majority.
 // threshold_words runs those same two kernels over a stack block of counter
-// planes, so spatial and temporal bundling share one counter.
+// planes, so spatial and temporal bundling share one counter. The one
+// specialisation is bind_majority_words: the paper's 1–4 channel spatial
+// encode, whose bind + majority (with the §5.1 tie-break row) reduces to a
+// closed form of a few word-wide ORs and ANDs.
 //
 // Selection happens lazily on first use: the `PULPHD_BACKEND` environment
 // variable (`portable`, `avx2` or `neon`) overrides; otherwise the widest
@@ -74,6 +77,18 @@ struct Backend {
   void (*threshold_words)(const Word* const* rows, std::size_t num_rows,
                           std::size_t threshold, Word* out, std::size_t n) noexcept;
 
+  /// Closed-form spatial encode of one sample with 1 to 4 channels. Bound
+  /// row c is items[c] ^ levels[c]; out gets the componentwise majority of
+  /// the bound rows plus, for an even channel count, §5.1's tie-break row
+  /// (bound row 0 ^ bound row 1) — the same bits threshold_words gives over
+  /// those materialized rows. Since a + b + (a ^ b) = 2(a | b), that
+  /// majority is a for 1 channel, a | b for 2, maj3(a, b, c) for 3 and
+  /// (a | b) & (c | d) for 4, so no bound row is ever written. Requires
+  /// 1 <= channels <= 4 and `out` not aliasing any input row; zero padding
+  /// in the inputs gives zero padding in `out`.
+  void (*bind_majority_words)(const Word* const* items, const Word* const* levels,
+                              std::size_t channels, Word* out, std::size_t n) noexcept;
+
   /// Streaming bundling, accumulate half: adds one packed binary row into a
   /// bit-sliced vertical counter — `num_planes` planes of n words each,
   /// plane-major (plane p spans planes[p*n, p*n + n)), plane 0 the LSB.
@@ -96,6 +111,10 @@ struct Backend {
                                std::size_t threshold, const Word* tie_break, Word* out,
                                std::size_t n) noexcept;
 };
+
+/// Largest channel count Backend::bind_majority_words takes; wider samples
+/// bundle their bound rows through threshold_words.
+inline constexpr std::size_t kBindMajorityMaxChannels = 4;
 
 /// The always-compiled 64-bit SWAR fallback (and bit-exact reference).
 const Backend& portable_backend() noexcept;

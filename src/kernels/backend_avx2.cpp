@@ -165,6 +165,7 @@ const Backend kAvx2Backend = {
     .xor_words = xor_words_avx2,
     .threshold_words =
         threshold_words_via_counters<accumulate_counters_avx2, counters_to_majority_avx2>,
+    .bind_majority_words = bind_majority_closed_form<xor_words_avx2>,
     .accumulate_counters = accumulate_counters_avx2,
     .counters_to_majority = counters_to_majority_avx2,
 };

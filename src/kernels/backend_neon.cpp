@@ -139,6 +139,7 @@ const Backend kNeonBackend = {
     .xor_words = xor_words_neon,
     .threshold_words =
         threshold_words_via_counters<accumulate_counters_neon, counters_to_majority_neon>,
+    .bind_majority_words = bind_majority_closed_form<xor_words_neon>,
     .accumulate_counters = accumulate_counters_neon,
     .counters_to_majority = counters_to_majority_neon,
 };

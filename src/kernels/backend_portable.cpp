@@ -76,6 +76,7 @@ const Backend kPortableBackend = {
     .xor_words = xor_words_portable,
     .threshold_words =
         threshold_words_via_counters<accumulate_counters_portable, counters_to_majority_portable>,
+    .bind_majority_words = bind_majority_closed_form<xor_words_portable>,
     .accumulate_counters = accumulate_counters_portable,
     .counters_to_majority = counters_to_majority_portable,
 };

@@ -7,7 +7,8 @@
 // portable kernels and every SIMD backend's sub-vector tail, so tail bits
 // can never diverge from the reference; threshold_words_via_counters is the
 // one threshold kernel, instantiated by each backend over its own counter
-// kernels.
+// kernels, and bind_majority_closed_form the one 1–4 channel spatial
+// encode, instantiated over each backend's own xor kernel.
 #pragma once
 
 #include <cstring>
@@ -86,6 +87,47 @@ void threshold_words_via_counters(const Word* const* rows, std::size_t num_rows,
     std::memset(counter, 0, planes * len * sizeof(Word));
     for (std::size_t r = 0; r < num_rows; ++r) Accumulate(rows[r] + begin, counter, planes, len);
     Readout(counter, planes, threshold, nullptr, out + begin, len);
+  }
+}
+
+/// Backend::bind_majority_words, written once. With a = items[0] ^
+/// levels[0] and so on, the §5.1 majority of {a, b, c, d, a ^ b} counts
+/// 2(a | b) + c + d per column, which exceeds 2 exactly where
+/// (a | b) & (c | d); the 2-channel {a, b, a ^ b} likewise reduces to
+/// a | b. The 1-channel majority is the bound row itself, bound by the
+/// backend's own `Xor`. Instantiating over that kernel makes every copy
+/// private to its backend's translation unit, so the -mavx2 unit's copy is
+/// vectorized for free and can never be linked into the portable table.
+template <auto Xor>
+void bind_majority_closed_form(const Word* const* items, const Word* const* levels,
+                               std::size_t channels, Word* out, std::size_t n) noexcept {
+  const Word* i0 = items[0];
+  const Word* l0 = levels[0];
+  if (channels == 1) {
+    Xor(i0, l0, out, n);
+    return;
+  }
+  const Word* i1 = items[1];
+  const Word* l1 = levels[1];
+  if (channels == 2) {
+    for (std::size_t w = 0; w < n; ++w) out[w] = (i0[w] ^ l0[w]) | (i1[w] ^ l1[w]);
+    return;
+  }
+  const Word* i2 = items[2];
+  const Word* l2 = levels[2];
+  if (channels == 3) {
+    for (std::size_t w = 0; w < n; ++w) {
+      const Word a = i0[w] ^ l0[w];
+      const Word b = i1[w] ^ l1[w];
+      const Word c = i2[w] ^ l2[w];
+      out[w] = (a & b) | (c & (a | b));
+    }
+    return;
+  }
+  const Word* i3 = items[3];
+  const Word* l3 = levels[3];
+  for (std::size_t w = 0; w < n; ++w) {
+    out[w] = ((i0[w] ^ l0[w]) | (i1[w] ^ l1[w])) & ((i2[w] ^ l2[w]) | (i3[w] ^ l3[w]));
   }
 }
 

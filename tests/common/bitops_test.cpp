@@ -41,7 +41,9 @@ TEST(ExtractInsertBit, RoundTrip) {
     EXPECT_EQ(extract_bit(updated, bit), value);
     // Other bits untouched.
     for (unsigned b = 0; b < 32; ++b) {
-      if (b != bit) EXPECT_EQ(extract_bit(updated, b), extract_bit(w, b));
+      if (b != bit) {
+        EXPECT_EQ(extract_bit(updated, b), extract_bit(w, b));
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
 // Packed batch spatial encoding: SpatialEncoder::encode_batch must be
 // bit-identical to the per-sample encode path for every channel parity,
-// dimension tail shape, batch size and thread count — and the classifier's
+// dimension tail shape, batch size and thread count, and equal to the
+// per-component reference on every backend — and the classifier's
 // end-to-end decisions must be identical across every compiled backend.
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "hd/classifier.hpp"
 #include "hd/encoder.hpp"
 #include "kernels/backend.hpp"
+#include "reference_encoder.hpp"
 
 namespace pulphd::hd {
 namespace {
@@ -61,6 +63,38 @@ TEST(SpatialEncoderBatch, MatchesMajorityOfBoundChannels) {
   enc.encode_batch(samples, out);
   for (std::size_t s = 0; s < samples.size(); ++s) {
     EXPECT_EQ(out[s], majority(enc.bind_channels(samples[s])));
+  }
+}
+
+TEST(SpatialEncoderBatch, MatchesPerComponentReferenceOnEveryBackend) {
+  // Channels 1–4 run the closed-form bind_majority_words, 5 and 6 the
+  // counter path; both encode and encode_batch must match the per-component
+  // count of hd::reference on every backend, tail shape included.
+  Xoshiro256StarStar rng(0x0c1f);
+  for (const std::size_t dim : {65u, 10000u}) {
+    for (std::size_t channels = 1; channels <= 6; ++channels) {
+      const ItemMemory im(channels, dim, 21);
+      const ContinuousItemMemory cim(22, dim, 0.0, 21.0, 22);
+      const SpatialEncoder enc(im, cim, channels);
+      const auto samples = random_samples(3, channels, rng);
+      std::vector<Hypervector> expected;
+      for (const auto& sample : samples) {
+        expected.push_back(reference::encode_spatial(im, cim, sample));
+      }
+      for (const kernels::Backend* backend : kernels::compiled_backends()) {
+        if (!backend->supported()) continue;
+        const kernels::ScopedBackend forced(backend);
+        std::vector<Hypervector> out(samples.size(), Hypervector(dim));
+        enc.encode_batch(samples, out);
+        for (std::size_t s = 0; s < samples.size(); ++s) {
+          EXPECT_EQ(out[s], expected[s]) << backend->name << " encode_batch channels "
+                                         << channels << " dim " << dim << " sample " << s;
+          EXPECT_EQ(enc.encode(samples[s]), expected[s])
+              << backend->name << " encode channels " << channels << " dim " << dim
+              << " sample " << s;
+        }
+      }
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 namespace pulphd::hd {
 namespace {
@@ -201,6 +202,45 @@ TEST(Hypervector, RotationKeepsPaddingClear) {
       cleared.clear_padding();
       EXPECT_EQ(r, cleared) << "dim=" << dim << " k=" << k;
       EXPECT_EQ(r.popcount(), a.popcount()) << "dim=" << dim << " k=" << k;
+    }
+  }
+}
+
+// Bit-serial oracle over the packed words: output bit (i + k) mod dim is
+// input bit i, one component at a time.
+std::vector<Word> naive_rotation(const Hypervector& a, std::size_t k) {
+  const std::size_t dim = a.dim();
+  std::vector<Word> out(a.word_count(), 0);
+  for (std::size_t i = 0; i < dim; ++i) {
+    const Word bit = (a.words()[i / kWordBits] >> (i % kWordBits)) & 1u;
+    const std::size_t j = (i + k) % dim;
+    out[j / kWordBits] |= bit << (j % kWordBits);
+  }
+  return out;
+}
+
+TEST(Hypervector, RotateIntoMatchesBitSerialRotation) {
+  // Every word offset and bit offset of the funnel-shift rotation, on dims
+  // that straddle the word size plus the paper's 10,000 and 313 * 32 rows.
+  // The destination starts all ones, padding included, so every word and
+  // the cleared padding are checked.
+  Xoshiro256StarStar rng(24);
+  const std::size_t kDimsToRotate[] = {1, 2, 31, 32, 33, 63, 64, 65, 10000, 10016};
+  for (const std::size_t dim : kDimsToRotate) {
+    const Hypervector a = Hypervector::random(dim, rng);
+    const std::size_t shifts[] = {0, 1, 31, 32, 33, dim - 1, dim, 2 * dim + 5, 4321};
+    for (const std::size_t k : shifts) {
+      Hypervector dst(dim);
+      for (Word& w : dst.mutable_words()) w = ~Word{0};
+      a.rotate_into(dst, k);
+      EXPECT_EQ(std::vector<Word>(dst.words().begin(), dst.words().end()),
+                naive_rotation(a, k))
+          << "dim=" << dim << " k=" << k;
+      const auto used = static_cast<unsigned>(dim % kWordBits);
+      if (used != 0) {
+        EXPECT_EQ(dst.words().back() & ~low_bits_mask(used), 0u)
+            << "padding set, dim=" << dim << " k=" << k;
+      }
     }
   }
 }

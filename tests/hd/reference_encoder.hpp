@@ -5,7 +5,10 @@
 // through StreamingEncoder's chunked pass instead (HdClassifier's batch and
 // training paths are configurations of it), so this chain is the
 // independent oracle that pass must match bit for bit; tests never compare
-// a StreamingEncoder against HdClassifier::encode_query.
+// a StreamingEncoder against HdClassifier::encode_query. encode_spatial is
+// the spatial stage's own oracle, counted one component at a time, so the
+// backends' closed-form and counter majorities are both checked against
+// something that shares no code with them.
 #pragma once
 
 #include <span>
@@ -14,9 +17,38 @@
 #include "common/status.hpp"
 #include "hd/classifier.hpp"
 #include "hd/encoder.hpp"
+#include "hd/item_memory.hpp"
 #include "hd/ops.hpp"
 
 namespace pulphd::hd::reference {
+
+/// One sample's spatial hypervector by per-component counting: component i
+/// is set iff more than half of the bound channel components IM_c ^
+/// CIM(v_c), plus §5.1's tie-break (bound 0 ^ bound 1) for an even channel
+/// count, are set.
+inline Hypervector encode_spatial(const ItemMemory& im, const ContinuousItemMemory& cim,
+                                  std::span<const float> sample) {
+  const std::size_t channels = sample.size();
+  Hypervector out(im.dim());
+  for (std::size_t i = 0; i < im.dim(); ++i) {
+    std::size_t ones = 0;
+    bool first = false;
+    bool second = false;
+    for (std::size_t c = 0; c < channels; ++c) {
+      const bool bound = im.at(c).bit(i) != cim.encode(sample[c]).bit(i);
+      ones += bound ? 1 : 0;
+      if (c == 0) first = bound;
+      if (c == 1) second = bound;
+    }
+    std::size_t rows = channels;
+    if (channels % 2 == 0) {
+      ones += first != second ? 1 : 0;
+      ++rows;
+    }
+    out.set_bit(i, ones > rows / 2);
+  }
+  return out;
+}
 
 /// N-grams of every complete window of a spatial sequence, i.e.
 /// sequence.size() - n + 1 outputs (empty when the sequence is shorter

@@ -2,10 +2,10 @@
 // portable SWAR reference, across dimensions that exercise every tail shape
 // (sub-word, exact-word, word+1, the paper's 313-word rows, the 10,048-D
 // bench config and a multi-block threshold), empty/1/3/129-row batches and
-// 1-vs-N thread counts; the counter and threshold kernels are also checked
-// against naive per-column counts, since portable shares their code. Plus
-// the dispatch contract: PULPHD_BACKEND is honored, unknown values fail
-// with a clear error.
+// 1-vs-N thread counts; the counter, threshold and closed-form spatial
+// kernels are also checked against naive per-column counts, since portable
+// shares their code. Plus the dispatch contract: PULPHD_BACKEND is
+// honored, unknown values fail with a clear error.
 #include "kernels/backend.hpp"
 
 #include <gtest/gtest.h>
@@ -190,6 +190,67 @@ TEST(BackendEquivalence, ThresholdWordsMatchesPortable) {
           backend->threshold_words(rows.data(), num_rows, threshold, out.data(), words);
           EXPECT_EQ(out, ref) << backend->name << " dim " << dim << " rows " << num_rows
                               << " threshold " << threshold;
+        }
+      }
+    }
+  }
+}
+
+TEST(BackendEquivalence, BindMajorityWordsMatchesThresholdWordsOverBoundRows) {
+  // The closed-form 1–4 channel spatial encode must give the bits of the
+  // general path: bind every channel, append §5.1's tie-break row (bound 0
+  // ^ bound 1) for an even channel count, and take the counter majority.
+  // It is checked against threshold_words on every backend and against the
+  // naive per-column count, at every word count up to 40 (all AVX2 and NEON
+  // tail shapes) and the paper's 313/314-word rows, each with a full and a
+  // partial last word.
+  Xoshiro256StarStar rng(0xb008);
+  std::vector<std::size_t> word_counts;
+  for (std::size_t w = 1; w <= 40; ++w) word_counts.push_back(w);
+  word_counts.push_back(313);
+  word_counts.push_back(314);
+  for (const std::size_t words : word_counts) {
+    for (const std::size_t dim : {words * kWordBits, words * kWordBits - 5}) {
+      for (std::size_t channels = 1; channels <= kBindMajorityMaxChannels; ++channels) {
+        std::vector<std::vector<Word>> items;
+        std::vector<std::vector<Word>> levels;
+        std::vector<std::vector<Word>> bound;
+        for (std::size_t c = 0; c < channels; ++c) {
+          items.push_back(random_row(dim, rng));
+          levels.push_back(random_row(dim, rng));
+          bound.emplace_back(words);
+          for (std::size_t w = 0; w < words; ++w) bound[c][w] = items[c][w] ^ levels[c][w];
+        }
+        if (channels % 2 == 0) {
+          bound.emplace_back(words);
+          for (std::size_t w = 0; w < words; ++w) bound.back()[w] = bound[0][w] ^ bound[1][w];
+        }
+        std::vector<const Word*> item_ptrs;
+        std::vector<const Word*> level_ptrs;
+        for (std::size_t c = 0; c < channels; ++c) {
+          item_ptrs.push_back(items[c].data());
+          level_ptrs.push_back(levels[c].data());
+        }
+        std::vector<const Word*> bound_ptrs;
+        for (const auto& row : bound) bound_ptrs.push_back(row.data());
+        const std::size_t rows = bound.size();
+        const std::vector<Word> expected = threshold_reference(bound, dim, rows / 2);
+        for (const Backend* backend : compiled_backends()) {
+          if (!backend->supported()) continue;
+          std::vector<Word> counted(words, 0xdeadbeefu);
+          backend->threshold_words(bound_ptrs.data(), rows, rows / 2, counted.data(), words);
+          std::vector<Word> out(words, 0xdeadbeefu);
+          backend->bind_majority_words(item_ptrs.data(), level_ptrs.data(), channels,
+                                       out.data(), words);
+          EXPECT_EQ(out, counted) << backend->name << " dim " << dim << " channels "
+                                  << channels;
+          EXPECT_EQ(out, expected) << backend->name << " dim " << dim << " channels "
+                                   << channels;
+          const auto used = static_cast<unsigned>(dim % kWordBits);
+          if (used != 0) {
+            EXPECT_EQ(out.back() & ~low_bits_mask(used), 0u)
+                << backend->name << " padding set, dim " << dim << " channels " << channels;
+          }
         }
       }
     }

@@ -112,8 +112,12 @@ TEST_P(ChainNgram, TemporalEncodingBitExact) {
   }
   const ChainRun run = chain.classify(window);
   EXPECT_EQ(run.query, model.encode_query(window));
-  if (n > 1) EXPECT_GT(run.cycles.temporal, 0u);
-  if (n == 1) EXPECT_EQ(run.cycles.temporal, 0u);
+  if (n > 1) {
+    EXPECT_GT(run.cycles.temporal, 0u);
+  }
+  if (n == 1) {
+    EXPECT_EQ(run.cycles.temporal, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ns, ChainNgram, ::testing::Values(1ul, 2ul, 3ul, 5ul, 10ul));

@@ -152,7 +152,7 @@ TEST(Rotate1Xor, SplitRangesComposeToFullResult) {
   std::vector<Word> pieces(words);
   CoreContext ctx(isa_costs(CoreKind::kWolfRv32), 1.0);
   rotate1_xor_range(ctx, dim, acc.words(), spatial.words(), whole, 0, words);
-  for (const auto [b, e] : {std::pair<std::size_t, std::size_t>{0, 100},
+  for (const auto& [b, e] : {std::pair<std::size_t, std::size_t>{0, 100},
                             {100, 200},
                             {200, words}}) {
     rotate1_xor_range(ctx, dim, acc.words(), spatial.words(), pieces, b, e);
