@@ -1,18 +1,12 @@
 // google-benchmark microbenchmarks of the host-side HD library: raw
 // wall-clock throughput of the MAP operations (not part of the paper's
-// tables; a sanity harness for the golden model's performance).
-//
-// The custom main below first runs the shared JSON kernel-backend suite
-// (backend_bench.hpp) and writes BENCH_hd_ops.json — per-kernel rows of
-// {backend, threads, dim, ns/query, GB/s} with warmup + median-of-N timing
-// — then hands any remaining arguments to google-benchmark. `--quick`
-// (the CI smoke mode) runs a reduced suite and skips the micro benches.
+// tables; a sanity harness for the golden model's performance). The
+// checked-in BENCH_hd_ops.json comes from bench_backends, not from here.
 #include <benchmark/benchmark.h>
 
 #include <deque>
 #include <string>
 
-#include "bench/backend_bench.hpp"
 #include "common/thread_pool.hpp"
 #include "kernels/backend.hpp"
 #include "hd/associative_memory.hpp"
@@ -364,24 +358,4 @@ BENCHMARK(BM_PredictBatchThreads)
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  pulphd::benchjson::SuiteOptions opt;
-  std::string out_path = "BENCH_hd_ops.json";
-  // Strip the suite's flags before handing argv to google-benchmark.
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (!pulphd::benchjson::parse_suite_arg(argv[i], opt, out_path)) {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
-
-  pulphd::benchjson::run_suite_and_write(opt, out_path);
-  if (opt.quick) return 0;  // CI smoke: JSON suite only
-
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

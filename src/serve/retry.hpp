@@ -6,10 +6,10 @@
 // accept failures pause the listeners briefly, and a restarting daemon is
 // simply absent for a moment (ECONNREFUSED / ENOENT on the socket path).
 // All of those are *retryable by design*, and this module gives every
-// client in the repo (pulphd_cli classify, bench_serve) the same policy:
-// exponential backoff with a hard cap, bounded attempts, and deterministic
-// decorrelating jitter so a thundering herd of clients does not re-dogpile
-// the daemon in lockstep.
+// client in the repo (pulphd_cli stream, the serve chaos test) the same
+// policy: exponential backoff with a hard cap, bounded attempts, and
+// deterministic decorrelating jitter so a thundering herd of clients does
+// not re-dogpile the daemon in lockstep.
 //
 // Determinism: jitter comes from a seeded xorshift64* stream, never from
 // wall-clock entropy — the same seed replays the same delay schedule,
@@ -61,8 +61,8 @@ class Backoff {
   std::uint64_t rng_state_;
 };
 
-/// Client-side retry counters, surfaced in BENCH_serve.json and CLI
-/// diagnostics so degraded runs are visible, not silent.
+/// Client-side retry counters, so a degraded exchange is visible, not
+/// silent; the serve chaos test asserts on them.
 struct RetryStats {
   std::uint64_t connect_retries = 0;     ///< re-connects after refused/absent
   std::uint64_t overloaded_retries = 0;  ///< re-sends after `err code=overloaded`

@@ -7,18 +7,20 @@
 // .github/workflows/ci.yml and tools/serve_smoke.sh.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,7 +29,9 @@
 #include "hd/serialization.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
+#include "serve/retry.hpp"
 #include "serve/server.hpp"
+#include "socket_client.hpp"
 
 namespace pulphd::serve {
 namespace {
@@ -88,54 +92,41 @@ std::string push_request(const std::vector<hd::Sample>& stream, std::size_t star
 
 bool exists(const std::string& path) { return ::access(path.c_str(), F_OK) == 0; }
 
-/// Minimal blocking client (same shape as server_test's).
-class Client {
- public:
-  explicit Client(int fd) : fd_(fd) {}
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
+using test::Client;
+using test::connect_unix;
 
-  void send(const std::string& data) {
-    ASSERT_EQ(::send(fd_, data.data(), data.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(data.size()));
-  }
-
-  std::string read_line() {
-    std::string line;
-    char c = 0;
-    while (true) {
-      const ssize_t n = ::read(fd_, &c, 1);
-      if (n <= 0) {
-        ADD_FAILURE() << "connection closed while expecting a line";
-        return line;
-      }
-      if (c == '\n') return line;
-      line += c;
+/// One request/response exchange on a connection the server may refuse
+/// (`err code=overloaded`, then close). A refused connection is answered
+/// before the client says anything, so the request goes out only when
+/// nothing arrives within 100 ms, and the refusal line is read intact.
+/// Reads up to `limit` bytes or to EOF. Returns nullopt when the peer tore
+/// the exchange down (EPIPE/ECONNRESET): a refusal that raced the request.
+/// Any other socket error throws.
+std::optional<std::string> try_exchange(int fd, std::string_view request, std::size_t limit) {
+  pollfd answered{fd, POLLIN, 0};
+  if (::poll(&answered, 1, /*timeout_ms=*/100) > 0) request = {};
+  while (!request.empty()) {
+    const ssize_t n = ::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EPIPE || errno == ECONNRESET) return std::nullopt;
+      throw std::runtime_error("send: " + io::errno_text(errno));
     }
+    request.remove_prefix(static_cast<std::size_t>(n));
   }
-
-  /// True when the peer has closed (blocks until EOF or data).
-  bool at_eof() {
-    char c = 0;
-    return ::read(fd_, &c, 1) == 0;
+  std::string response;
+  char chunk[4096];
+  while (response.size() < limit) {
+    const ssize_t n = ::read(fd, chunk, std::min(sizeof(chunk), limit - response.size()));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == ECONNRESET) return std::nullopt;
+      throw std::runtime_error("read: " + io::errno_text(errno));
+    }
+    if (n == 0) break;
+    response.append(chunk, static_cast<std::size_t>(n));
   }
-
- private:
-  int fd_ = -1;
-};
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0)
-      << std::strerror(errno);
-  return fd;
+  return response;
 }
 
 /// A real listener server on a per-test Unix socket, torn down in order.
@@ -406,6 +397,89 @@ TEST_F(ChaosServer, SighupStyleReloadRunsConcurrentlyWithClassifies) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_FALSE(failed.load());
+}
+
+// --- overload and client retry ----------------------------------------------
+
+TEST_F(ChaosServer, OverloadedClientRetriesWithBackoffUntilAdmitted) {
+  registry_.add("m", trained_classifier(11));
+  ServeConfig config;
+  config.max_connections = 1;
+  start(config);
+  const std::vector<hd::Trial> trials = query_trials();
+  // `quit` closes an admitted connection after the answer, so a response
+  // that diverges from the expected bytes can never block the read.
+  const std::string request = format_classify_request("m", trials) + "phd1 quit\n";
+  const std::string expected = ResponseEncoder(Wire::kText)
+                                   .classify("m", registry_.resolve("m")->classifier
+                                                      .predict_batch(trials));
+
+  // Hold the only slot; the ping round trip proves the holder is admitted,
+  // so every connection the client makes is over the cap until release.
+  Client holder(connect_unix(socket_path_));
+  holder.send("phd1 ping\n");
+  ASSERT_EQ(holder.read_line(), "ok pong");
+
+  // One client connects through the production retry path and re-sends
+  // after each refusal with its own backoff episode, as a daemon client does.
+  RetryStats stats;
+  std::atomic<int> refusals{0};
+  std::atomic<bool> finished{false};
+  std::string served;
+  std::string failure;
+  std::thread client([&] {
+    try {
+      BackoffPolicy policy;
+      policy.initial = std::chrono::milliseconds(2);
+      policy.cap = std::chrono::milliseconds(50);
+      policy.max_attempts = 200;  // the point is to converge, not to give up
+      policy.jitter_seed = 0x9eb1;
+      Backoff backoff(policy);
+      for (;;) {
+        const int fd = connect_unix_retry(socket_path_, policy, &stats);
+        const std::optional<std::string> response = try_exchange(fd, request, expected.size());
+        ::close(fd);
+        if (response == expected) {
+          served = *response;
+          break;
+        }
+        // A torn exchange, an empty read or the refusal line itself all mean
+        // the server was at its cap; anything else is a real divergence.
+        if (response.has_value() && !response->empty() &&
+            !response->starts_with("err code=overloaded")) {
+          failure = "unexpected response: " + *response;
+          break;
+        }
+        ++stats.overloaded_retries;
+        refusals.fetch_add(1);
+        const std::optional<std::chrono::milliseconds> delay = backoff.next_delay();
+        if (!delay) {
+          ++stats.give_ups;
+          break;
+        }
+        std::this_thread::sleep_for(*delay);
+      }
+    } catch (const std::exception& e) {
+      failure = e.what();
+    }
+    finished.store(true);
+  });
+
+  // Release the slot only after the client has been refused at least once,
+  // so the retry path is always exercised.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (refusals.load() == 0 && !finished.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  holder.close_now();
+  client.join();
+
+  EXPECT_TRUE(failure.empty()) << failure;
+  EXPECT_EQ(served, expected);
+  EXPECT_GE(stats.overloaded_retries, 1u);
+  EXPECT_EQ(stats.give_ups, 0u);
 }
 
 // --- streaming sessions under chaos -----------------------------------------

@@ -7,7 +7,6 @@
 // asserts the --help output appears verbatim in the doc).
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -34,6 +33,7 @@
 #include "kernels/chain.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
+#include "serve/retry.hpp"
 #include "serve/server.hpp"
 #include "sim/power.hpp"
 
@@ -562,20 +562,11 @@ std::vector<hd::Sample> load_csv_samples(const std::string& path) {
 
 int connect_stream_socket(const StreamOptions& opt) {
   if (!opt.unix_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (opt.unix_path.size() >= sizeof(addr.sun_path)) {
-      throw std::runtime_error("stream: socket path too long: " + opt.unix_path);
+    try {
+      return serve::connect_unix_retry(opt.unix_path, serve::BackoffPolicy{});
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error(std::string("stream: ") + e.what());
     }
-    std::memcpy(addr.sun_path, opt.unix_path.c_str(), opt.unix_path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) throw std::runtime_error("stream: socket: " + io::errno_text(errno));
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const int err = errno;
-      ::close(fd);
-      throw std::runtime_error("stream: connect " + opt.unix_path + ": " + io::errno_text(err));
-    }
-    return fd;
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
