@@ -1,12 +1,12 @@
 // Kernel-backend benchmark: the one writer of BENCH_hd_ops.json.
 //
 // Drives every compiled+supported kernel backend through the library's hot
-// kernels (Hamming distance matrix, bulk XOR, bulk majority, packed batch
+// kernels (the AM's hamming_rows search, bulk XOR, bulk majority, batch
 // spatial encode, end-to-end encode_trials) with warmup iterations and
 // median-of-N timing, and emits the rows as BENCH_hd_ops.json so the repo's
 // perf trajectory is recorded in a diffable form:
 //
-//   {"kernel": "hamming_distance_matrix", "backend": "avx2", "threads": 1,
+//   {"kernel": "hamming_rows", "backend": "avx2", "threads": 1,
 //    "dim": 10048, "batch": 1024, "ns_per_query": 812.4, "gb_per_s": 30.9,
 //    "reps": 9, "warmup": 3}
 //
@@ -36,7 +36,6 @@
 #include "hd/encoder.hpp"
 #include "hd/item_memory.hpp"
 #include "kernels/backend.hpp"
-#include "kernels/primitives.hpp"
 
 namespace pulphd {
 namespace {
@@ -111,7 +110,7 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
       opt.quick ? std::vector<std::size_t>{10048} : std::vector<std::size_t>{10016, 10048};
   const std::vector<std::size_t> thread_counts =
       opt.quick ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 4};
-  const std::size_t matrix_batch = opt.quick ? 256 : 1024;
+  const std::size_t query_batch = opt.quick ? 256 : 1024;
   const std::size_t classes = 5;
   const std::size_t majority_rows = 9;
   const std::size_t encode_batch = opt.quick ? 64 : 256;
@@ -147,7 +146,7 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
     const std::size_t words = words_for_dim(dim);
 
     // Shared random operands per dim so every backend times identical data.
-    const std::vector<Word> queries = detail::random_words(matrix_batch * words, rng);
+    const std::vector<Word> queries = detail::random_words(query_batch * words, rng);
     const std::vector<Word> prototypes = detail::random_words(classes * words, rng);
     const std::vector<Word> row_a = detail::random_words(words, rng);
     const std::vector<Word> row_b = detail::random_words(words, rng);
@@ -161,16 +160,19 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
     for (const kernels::Backend* backend : backends) {
       const kernels::ScopedBackend forced(backend);
 
-      // hamming_distance_matrix: the classify_batch hot kernel, sharded.
-      for (const std::size_t threads : thread_counts) {
-        std::vector<std::uint32_t> out(matrix_batch * classes);
+      // hamming_rows: the AM search kernel, one query against the packed
+      // prototype matrix per call, serial as classify_batch runs it.
+      {
+        std::vector<std::uint32_t> out(classes);
         const double ns = detail::median_ns_per_item(
             [&] {
-              kernels::hamming_distance_matrix(queries, prototypes, matrix_batch, classes,
-                                               words, out, threads);
+              for (std::size_t q = 0; q < query_batch; ++q) {
+                backend->hamming_rows(queries.data() + q * words, prototypes.data(), classes,
+                                      words, out.data());
+              }
             },
-            matrix_batch, warmup, reps, target_ms);
-        push_row("hamming_distance_matrix", backend, threads, dim, matrix_batch, ns,
+            query_batch, warmup, reps, target_ms);
+        push_row("hamming_rows", backend, 1, dim, query_batch, ns,
                  2.0 * static_cast<double>(classes * words) * word_bytes);
       }
 

@@ -7,14 +7,12 @@
 #include <deque>
 #include <string>
 
-#include "common/thread_pool.hpp"
 #include "kernels/backend.hpp"
 #include "hd/associative_memory.hpp"
 #include "hd/classifier.hpp"
 #include "hd/encoder.hpp"
 #include "hd/item_memory.hpp"
 #include "hd/ops.hpp"
-#include "kernels/primitives.hpp"
 
 namespace {
 
@@ -196,20 +194,6 @@ std::vector<Hypervector> random_queries(std::size_t n, std::size_t dim) {
   return queries;
 }
 
-void BM_ClassifyPerQuery(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const hd::AssociativeMemory am = trained_am(5, 10000);
-  const std::vector<Hypervector> queries = random_queries(batch, 10000);
-  for (auto _ : state) {
-    for (const Hypervector& q : queries) {
-      benchmark::DoNotOptimize(am.classify(q));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_ClassifyPerQuery)->Arg(1)->Arg(64)->Arg(1024);
-
 void BM_ClassifyBatch(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const hd::AssociativeMemory am = trained_am(5, 10000);
@@ -222,88 +206,20 @@ void BM_ClassifyBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifyBatch)->Arg(1)->Arg(64)->Arg(1024);
 
-void BM_HammingDistanceMatrix(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const std::size_t classes = 5;
-  const std::size_t words = pulphd::words_for_dim(10000);
-  Xoshiro256StarStar rng(13);
-  std::vector<pulphd::Word> queries(batch * words);
-  std::vector<pulphd::Word> prototypes(classes * words);
-  for (auto& w : queries) w = static_cast<pulphd::Word>(rng.next());
-  for (auto& w : prototypes) w = static_cast<pulphd::Word>(rng.next());
-  std::vector<std::uint32_t> out(batch * classes);
-  for (auto _ : state) {
-    kernels::hamming_distance_matrix(queries, prototypes, batch, classes, words, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_HammingDistanceMatrix)->Arg(64)->Arg(1024);
-
-// ---------------------------------------------------------------------------
-// Multi-threaded batch throughput: the same batch kernels sharded over host
-// threads. Args are {batch, threads}; items/s is queries (or trials) per
-// second, so the thread scaling reads directly off the items/s column.
-// threads = 1 takes the serial code path (no pool interaction) and is the
-// baseline the 2/4/8-thread rows are compared against; every thread count
-// produces bit-identical decisions.
-// ---------------------------------------------------------------------------
-
-void BM_ClassifyBatchThreads(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  const hd::AssociativeMemory am = trained_am(5, 10000);
-  const std::vector<Hypervector> queries = random_queries(batch, 10000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(am.classify_batch(queries, threads));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_ClassifyBatchThreads)
-    ->Args({1024, 1})
-    ->Args({1024, 2})
-    ->Args({1024, 4})
-    ->Args({1024, 8});
-
-void BM_HammingDistanceMatrixThreads(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  const std::size_t classes = 5;
-  const std::size_t words = pulphd::words_for_dim(10000);
-  Xoshiro256StarStar rng(14);
-  std::vector<pulphd::Word> queries(batch * words);
-  std::vector<pulphd::Word> prototypes(classes * words);
-  for (auto& w : queries) w = static_cast<pulphd::Word>(rng.next());
-  for (auto& w : prototypes) w = static_cast<pulphd::Word>(rng.next());
-  std::vector<std::uint32_t> out(batch * classes);
-  for (auto _ : state) {
-    kernels::hamming_distance_matrix(queries, prototypes, batch, classes, words, out,
-                                     threads);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_HammingDistanceMatrixThreads)
-    ->Args({1024, 1})
-    ->Args({1024, 2})
-    ->Args({1024, 4})
-    ->Args({1024, 8});
-
-void BM_HammingDistanceMatrixBackend(benchmark::State& state) {
-  // Single-thread distance matrix per compiled backend (arg = index into
-  // compiled_backends); unsupported/out-of-range entries are skipped so the
-  // registration works on any host.
+void BM_HammingRowsBackend(benchmark::State& state) {
+  // The AM search kernel per compiled backend (arg = index into
+  // compiled_backends): one hamming_rows call per query against the packed
+  // 5-prototype matrix, as AssociativeMemory::classify_batch runs it.
+  // Unsupported/out-of-range entries are skipped so the registration works
+  // on any host.
   const auto index = static_cast<std::size_t>(state.range(0));
   const auto backends = kernels::compiled_backends();
   if (index >= backends.size() || !backends[index]->supported()) {
     state.SkipWithError("backend not available on this host");
     return;
   }
-  const kernels::ScopedBackend forced(backends[index]);
-  state.SetLabel(backends[index]->name);
+  const kernels::Backend& backend = *backends[index];
+  state.SetLabel(backend.name);
   const std::size_t batch = 1024;
   const std::size_t classes = 5;
   const std::size_t words = pulphd::words_for_dim(10048);
@@ -312,20 +228,33 @@ void BM_HammingDistanceMatrixBackend(benchmark::State& state) {
   std::vector<pulphd::Word> prototypes(classes * words);
   for (auto& w : queries) w = static_cast<pulphd::Word>(rng.next());
   for (auto& w : prototypes) w = static_cast<pulphd::Word>(rng.next());
-  std::vector<std::uint32_t> out(batch * classes);
+  std::vector<std::uint32_t> row(classes);
   for (auto _ : state) {
-    kernels::hamming_distance_matrix(queries, prototypes, batch, classes, words, out, 1);
-    benchmark::DoNotOptimize(out.data());
+    for (std::size_t q = 0; q < batch; ++q) {
+      backend.hamming_rows(queries.data() + q * words, prototypes.data(), classes, words,
+                           row.data());
+      benchmark::DoNotOptimize(row.data());
+    }
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
-BENCHMARK(BM_HammingDistanceMatrixBackend)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_HammingRowsBackend)->Arg(0)->Arg(1)->Arg(2);
+
+// ---------------------------------------------------------------------------
+// Multi-threaded end-to-end throughput. Args are {batch, threads}; items/s
+// is trials per second, so the thread scaling reads directly off the
+// items/s column. threads = 1 takes the serial code path (no pool
+// interaction) and is the baseline the 2/4/8-thread rows are compared
+// against; every thread count produces bit-identical decisions.
+// ---------------------------------------------------------------------------
 
 void BM_PredictBatchThreads(benchmark::State& state) {
   // End-to-end inference (spatial encode -> bundle -> AM lookup) over a
   // batch of trials: the path evaluate_hd drives, where encoding dominates
-  // and trial-level sharding approaches linear scaling.
+  // and encode_trials' fork-join (at most `threads` threads) does the
+  // scaling.
   const auto batch = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
   hd::ClassifierConfig cfg;  // paper defaults: 10,000-D, 4 channels

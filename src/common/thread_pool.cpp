@@ -157,17 +157,13 @@ std::size_t resolve_threads(std::size_t threads) noexcept {
 }
 
 void parallel_shards(std::size_t threads, std::size_t n,
-                     const std::function<void(std::size_t, std::size_t)>& fn,
-                     std::size_t shards_per_thread) {
+                     const std::function<void(std::size_t, std::size_t)>& fn) {
   threads = resolve_threads(threads);
   if (threads <= 1 || n <= 1) {
     if (n > 0) fn(0, n);
     return;
   }
-  if (shards_per_thread < 1) shards_per_thread = 1;
-  // parallel_for clamps the shard count to n, so oversubscription can never
-  // produce empty shards.
-  ThreadPool::shared().parallel_for(n, threads * shards_per_thread, fn);
+  ThreadPool::shared().parallel_for(n, threads, fn);
 }
 
 }  // namespace pulphd

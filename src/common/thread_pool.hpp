@@ -1,11 +1,12 @@
 // Host-side fork-join thread pool.
 //
 // The paper's speedups come from mapping the HD kernels onto a parallel
-// cluster; the host library mirrors that with a small fixed pool of worker
-// threads sharding embarrassingly parallel loops (batch classification,
-// batch encoding) over contiguous index ranges. Parallelism never changes
-// results: every shard computes independent outputs into disjoint slots, so
-// any thread count is bit-identical to the single-threaded loop.
+// cluster as one parallel region per kernel; the host library mirrors that
+// with a small fixed pool of worker threads and one fork-join over a batch
+// of trials (HdClassifier::encode_trials, via parallel_shards). Parallelism
+// never changes results: every shard computes independent outputs into
+// disjoint slots, so any thread count is bit-identical to the serial loop.
+// The serve daemon's request workers use the fire-and-forget submit path.
 #pragma once
 
 #include <cstddef>
@@ -71,15 +72,13 @@ class ThreadPool {
 /// anything else is taken literally.
 std::size_t resolve_threads(std::size_t threads) noexcept;
 
-/// Shards [0, n) across `threads * shards_per_thread` chunks on the shared
-/// pool. threads <= 1 (after resolving 0 = auto) runs fn(0, n) inline on
+/// Splits [0, n) into at most `threads` shards on the shared pool, so at
+/// most `threads` threads (the caller plus threads - 1 pool workers) run fn
+/// at once. threads <= 1 (after resolving 0 = auto) runs fn(0, n) inline on
 /// the caller with no pool interaction — the single-threaded path is
-/// exactly the serial loop. shards_per_thread > 1 oversubscribes the shard
-/// count so the pool's caller-helps scheduling load-balances uneven items
-/// (e.g. trials of different lengths); shard boundaries never affect
-/// results, every chunk writes only its own slots.
+/// exactly the serial loop. Shard boundaries never affect results: every
+/// chunk writes only its own slots.
 void parallel_shards(std::size_t threads, std::size_t n,
-                     const std::function<void(std::size_t, std::size_t)>& fn,
-                     std::size_t shards_per_thread = 1);
+                     const std::function<void(std::size_t, std::size_t)>& fn);
 
 }  // namespace pulphd

@@ -4,8 +4,7 @@
 #include <limits>
 
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
-#include "kernels/primitives.hpp"
+#include "kernels/backend.hpp"
 
 namespace pulphd::hd {
 
@@ -53,55 +52,43 @@ bool AssociativeMemory::is_trained() const noexcept {
                      [](const BundleAccumulator& acc) { return acc.count() > 0; });
 }
 
-std::vector<AmDecision> AssociativeMemory::classify_batch(std::span<const Hypervector> queries,
-                                                          std::size_t threads) const {
-  check_invariant(is_trained(), "AssociativeMemory::classify_batch: untrained classes present");
-  // The batch kernel's distance matrix is uint32; a distance can reach dim,
-  // so wider dimensions must take the per-query size_t path.
+void AssociativeMemory::check_searchable() const {
+  check_invariant(is_trained(), "AssociativeMemory::classify: untrained classes present");
+  // hamming_rows writes uint32 distances, and a distance can reach dim.
   require(dim_ <= std::numeric_limits<std::uint32_t>::max(),
-          "AssociativeMemory::classify_batch: dim exceeds the uint32 distance range");
-  const std::size_t words = words_for_dim(dim_);
-  const std::size_t classes = prototypes_.size();
-  std::vector<Word> packed_queries(queries.size() * words);
-  std::vector<std::uint32_t> matrix(queries.size() * classes);
-  std::vector<AmDecision> decisions(queries.size());
-  // One fork-join over query rows: each shard packs, measures and decides
-  // only its own rows — disjoint slices of the three buffers above — so the
-  // result is bit-identical for any thread count.
-  parallel_shards(threads, queries.size(), [&](std::size_t q_begin, std::size_t q_end) {
-    for (std::size_t q = q_begin; q < q_end; ++q) {
-      require(queries[q].dim() == dim_,
-              "AssociativeMemory::classify_batch: dimension mismatch");
-      std::copy(queries[q].words().begin(), queries[q].words().end(),
-                packed_queries.begin() + static_cast<std::ptrdiff_t>(q * words));
-    }
-    const std::size_t rows = q_end - q_begin;
-    kernels::hamming_distance_matrix(
-        std::span<const Word>(packed_queries).subspan(q_begin * words, rows * words),
-        packed_prototypes_, rows, classes, words,
-        std::span<std::uint32_t>(matrix).subspan(q_begin * classes, rows * classes));
-    for (std::size_t q = q_begin; q < q_end; ++q) {
-      AmDecision& decision = decisions[q];
-      decision.distances.assign(matrix.begin() + static_cast<std::ptrdiff_t>(q * classes),
-                                matrix.begin() + static_cast<std::ptrdiff_t>((q + 1) * classes));
-      const auto best = std::min_element(decision.distances.begin(), decision.distances.end());
-      decision.label = static_cast<std::size_t>(best - decision.distances.begin());
-      decision.distance = *best;
-    }
-  });
-  return decisions;
+          "AssociativeMemory::classify: dim exceeds the uint32 distance range");
 }
 
-AmDecision AssociativeMemory::classify(const Hypervector& query) const {
-  check_invariant(is_trained(), "AssociativeMemory::classify: untrained classes present");
+AmDecision AssociativeMemory::search(const Hypervector& query, const kernels::Backend& backend,
+                                     std::span<std::uint32_t> row) const {
   require(query.dim() == dim_, "AssociativeMemory::classify: dimension mismatch");
+  // The prototype matrix (C x W words; ~6 kB for the paper's 5 x 313) stays
+  // cache-resident across a batch's queries.
+  backend.hamming_rows(query.words().data(), packed_prototypes_.data(), row.size(),
+                       words_for_dim(dim_), row.data());
   AmDecision decision;
-  decision.distances = hamming_to_all(query, prototypes_);
-  const auto best =
-      std::min_element(decision.distances.begin(), decision.distances.end());
+  decision.distances.assign(row.begin(), row.end());
+  const auto best = std::min_element(decision.distances.begin(), decision.distances.end());
   decision.label = static_cast<std::size_t>(best - decision.distances.begin());
   decision.distance = *best;
   return decision;
+}
+
+AmDecision AssociativeMemory::classify(const Hypervector& query) const {
+  check_searchable();
+  std::vector<std::uint32_t> row(classes());
+  return search(query, kernels::active_backend(), row);
+}
+
+std::vector<AmDecision> AssociativeMemory::classify_batch(
+    std::span<const Hypervector> queries) const {
+  check_searchable();
+  const kernels::Backend& backend = kernels::active_backend();
+  std::vector<std::uint32_t> row(classes());
+  std::vector<AmDecision> decisions;
+  decisions.reserve(queries.size());
+  for (const Hypervector& query : queries) decisions.push_back(search(query, backend, row));
+  return decisions;
 }
 
 const Hypervector& AssociativeMemory::prototype(std::size_t label) const {

@@ -15,6 +15,10 @@
 
 #include "hd/ops.hpp"
 
+namespace pulphd::kernels {
+struct Backend;
+}
+
 namespace pulphd::hd {
 
 /// Classification outcome: best label plus the full distance row (useful
@@ -50,25 +54,19 @@ class AssociativeMemory {
   bool is_trained() const noexcept;
 
   /// Nearest-prototype lookup (min Hamming distance; lowest label wins ties,
-  /// which keeps results platform-independent). Throws std::logic_error if
-  /// any class is still empty.
+  /// which keeps results platform-independent): one Backend::hamming_rows
+  /// pass of the query against the packed prototype matrix. Throws
+  /// std::logic_error if any class is still empty, std::invalid_argument on
+  /// a dimension mismatch or a dim beyond the kernel's uint32 distances.
   AmDecision classify(const Hypervector& query) const;
 
-  /// Batched nearest-prototype lookup: one decision per query, identical to
-  /// calling `classify` on each. The queries are packed into one contiguous
-  /// word matrix and the N x classes() Hamming-distance matrix is computed by
-  /// the word-parallel batch kernel, which streams the cache-resident
-  /// prototype matrix instead of re-walking per-query Hypervectors.
-  ///
-  /// `threads` shards the query rows across the shared host thread pool
-  /// (each shard packs, measures and decides its own rows, so any thread
-  /// count is bit-identical to the serial loop). 1 = serial on the caller,
-  /// 0 = one shard per hardware thread.
-  std::vector<AmDecision> classify_batch(std::span<const Hypervector> queries,
-                                         std::size_t threads = 1) const;
+  /// One decision per query, identical to calling `classify` on each: the
+  /// same per-query search run serially on the caller, with the backend
+  /// and the distance-row scratch resolved once for the whole batch.
+  std::vector<AmDecision> classify_batch(std::span<const Hypervector> queries) const;
 
   /// The prototypes as one contiguous row-major packed matrix
-  /// (classes() rows of words_for_dim(dim()) words) — the layout the batch
+  /// (classes() rows of words_for_dim(dim()) words) — the layout the search
   /// kernel consumes; kept in sync with `prototypes()`.
   std::span<const Word> packed_prototypes() const noexcept { return packed_prototypes_; }
 
@@ -88,6 +86,14 @@ class AssociativeMemory {
   std::size_t footprint_bytes() const noexcept;
 
  private:
+  /// The trained and uint32-range checks every search needs once.
+  void check_searchable() const;
+  /// The one search routine behind classify and classify_batch: writes the
+  /// query's distance to every prototype into `row` (classes() entries) in
+  /// one hamming_rows pass and picks the nearest.
+  AmDecision search(const Hypervector& query, const kernels::Backend& backend,
+                    std::span<std::uint32_t> row) const;
+
   void refresh_prototype(std::size_t label);
   void repack_prototype(std::size_t label);
 

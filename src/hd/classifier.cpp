@@ -78,26 +78,20 @@ std::vector<Hypervector> HdClassifier::encode_trials(std::span<const Trial> tria
   std::vector<Hypervector> queries(trials.size(), Hypervector(config_.dim));
   // Trials encode independently into their own slots; encoding is the
   // dominant inference cost, so this is where the thread knob pays off.
-  // Oversubscribe the shard count 4x so trials of uneven length keep every
-  // worker busy instead of one long shard serializing the tail (the pool's
-  // caller-helps queue hands short shards to whoever frees up first).
-  parallel_shards(
-      config_.threads, trials.size(),
-      [&](std::size_t begin, std::size_t end) {
-        // One encoder per shard, reconfigured for every trial's length.
-        StreamingEncoder encoder = make_streaming_encoder();
-        std::vector<Hypervector> scratch;
-        for (std::size_t t = begin; t < end; ++t) {
-          queries[t] = whole_trial_query(encoder, trials[t], scratch);
-        }
-      },
-      /*shards_per_thread=*/4);
+  parallel_shards(config_.threads, trials.size(), [&](std::size_t begin, std::size_t end) {
+    // One encoder per shard, reconfigured for every trial's length.
+    StreamingEncoder encoder = make_streaming_encoder();
+    std::vector<Hypervector> scratch;
+    for (std::size_t t = begin; t < end; ++t) {
+      queries[t] = whole_trial_query(encoder, trials[t], scratch);
+    }
+  });
   return queries;
 }
 
 std::vector<AmDecision> HdClassifier::predict_batch(std::span<const Trial> trials) const {
   const std::vector<Hypervector> queries = encode_trials(trials);
-  return am_.classify_batch(queries, config_.threads);
+  return am_.classify_batch(queries);
 }
 
 ModelFootprint HdClassifier::footprint() const noexcept {

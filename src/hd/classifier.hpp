@@ -30,14 +30,13 @@ struct ClassifierConfig {
   std::size_t ngram = 1;         ///< temporal window N (EMG: 1, EEG: up to 29)
   std::size_t classes = 5;       ///< output classes (4 gestures + rest)
   std::uint64_t seed = 0x9d1feed5ULL;  ///< master seed
-  /// Parallelism of the batch encode/classify paths (a runtime knob, not
-  /// part of the model — never serialized). 1 runs serially on the caller;
-  /// 0 means one per hardware thread. Any value T > 1 sets a shard count,
-  /// not a thread cap: encode_trials cuts its trials into 4T shards and the
-  /// AM batch search its queries into T, all queued on the process-wide
-  /// pool (hardware threads - 1 workers, the caller helping), so every
-  /// T > 1 may occupy all pool workers. Any value yields bit-identical
-  /// results.
+  /// Host threads that encode one batch of trials (a runtime knob, not
+  /// part of the model — never serialized): a cap. encode_trials cuts the
+  /// batch into at most T contiguous shards, so at most T threads (the
+  /// caller plus T - 1 workers of the process-wide pool) encode it at once.
+  /// 1 runs serially on the caller; 0 means one per hardware thread. The AM
+  /// search is serial on the caller for any T. Any value yields
+  /// bit-identical results.
   std::size_t threads = 1;
 
   /// Validates ranges; throws std::invalid_argument on nonsense.
@@ -100,21 +99,21 @@ class HdClassifier {
   /// Classifies a single already-encoded query.
   AmDecision predict_encoded(const Hypervector& query) const { return am_.classify(query); }
 
-  /// Encodes many trials to their query hypervectors, sharding the trials
-  /// across `config().threads` host threads (encoding dominates the
-  /// inference cost, and trials are independent). Result i matches
-  /// encode_query(trials[i]); throws when any trial is shorter than N.
+  /// Encodes many trials to their query hypervectors on at most
+  /// `config().threads` host threads (encoding dominates the inference
+  /// cost, and trials are independent) — the library's one fork-join.
+  /// Result i matches encode_query(trials[i]); throws when any trial is
+  /// shorter than N.
   std::vector<Hypervector> encode_trials(std::span<const Trial> trials) const;
 
   /// Batched classification of many trials: the trials are encoded in
-  /// parallel by encode_trials, then all queries go through the AM's
-  /// word-parallel batch kernel, likewise sharded across config().threads.
+  /// parallel by encode_trials, then the AM searches the queries serially.
   /// Result i matches predict(trials[i]) for any thread count.
   std::vector<AmDecision> predict_batch(std::span<const Trial> trials) const;
 
   /// Batched classification of already-encoded queries.
   std::vector<AmDecision> predict_encoded_batch(std::span<const Hypervector> queries) const {
-    return am_.classify_batch(queries, config_.threads);
+    return am_.classify_batch(queries);
   }
 
   /// The seed-derived tie-break row used when bundling a query's N-grams

@@ -13,11 +13,10 @@ namespace pulphd::hd {
 namespace {
 
 // Per-thread scratch arena backing encode / encode_batch for more than
-// kBindMajorityMaxChannels channels: the packed bound channel rows of a
-// chunk of samples plus the row-pointer table handed to the backend's
-// threshold kernel. thread_local keeps the serial path and every
-// encode_trials shard allocation-free after warmup without any sharing
-// between threads.
+// kBindMajorityMaxChannels channels: one sample's packed bound channel rows
+// plus the row-pointer table handed to the backend's threshold kernel.
+// thread_local keeps the serial path and every encode_trials shard
+// allocation-free after warmup without any sharing between threads.
 struct SpatialArena {
   std::vector<Word> rows;
   std::vector<const Word*> row_ptrs;
@@ -28,13 +27,9 @@ SpatialArena& spatial_arena() {
   return arena;
 }
 
-// Cap the packed-row matrix a batch gathers at once so the arena stays
-// cache-resident (in words; 256 Ki words = 1 MiB).
-constexpr std::size_t kArenaWordBudget = std::size_t{1} << 18;
-
-// Samples StreamingEncoder::push spatial-encodes per chunk: large enough to
-// amortize the packed gather, small enough (~80 KiB of hypervectors at the
-// paper's D) to stay cache-resident.
+// Samples StreamingEncoder::push spatial-encodes per encode_batch call:
+// few enough (~80 KiB of hypervectors at the paper's D) to stay
+// cache-resident for the temporal pass over the chunk.
 constexpr std::size_t kPushChunkSamples = 64;
 
 }  // namespace
@@ -45,20 +40,6 @@ SpatialEncoder::SpatialEncoder(const ItemMemory& im, const ContinuousItemMemory&
   require(channels >= 1, "SpatialEncoder: channels must be >= 1");
   require(im.size() >= channels, "SpatialEncoder: item memory smaller than channel count");
   require(im.dim() == cim.dim(), "SpatialEncoder: IM/CIM dimension mismatch");
-}
-
-void SpatialEncoder::bind_sample_rows(std::span<const float> sample,
-                                      const kernels::Backend& backend, Word* rows) const {
-  const std::size_t words = words_for_dim(dim());
-  for (std::size_t c = 0; c < channels_; ++c) {
-    backend.xor_words(im_->at(c).words().data(), cim_->encode(sample[c]).words().data(),
-                      rows + c * words, words);
-  }
-  if (channels_ % 2 == 0) {
-    // §5.1's reproducible tie-break operand: the XOR of the first two
-    // bound rows, appended so the majority count is odd.
-    backend.xor_words(rows, rows + words, rows + channels_ * words, words);
-  }
 }
 
 std::vector<Hypervector> SpatialEncoder::bind_channels(std::span<const float> sample) const {
@@ -72,86 +53,57 @@ std::vector<Hypervector> SpatialEncoder::bind_channels(std::span<const float> sa
   return bound;
 }
 
-void SpatialEncoder::bind_majority(std::span<const float> sample,
-                                   const kernels::Backend& backend, Word* out) const {
-  std::array<const Word*, kernels::kBindMajorityMaxChannels> items{};
-  std::array<const Word*, kernels::kBindMajorityMaxChannels> levels{};
-  for (std::size_t c = 0; c < channels_; ++c) {
-    items[c] = im_->at(c).words().data();
-    levels[c] = cim_->encode(sample[c]).words().data();
-  }
-  backend.bind_majority_words(items.data(), levels.data(), channels_, out,
-                              words_for_dim(dim()));
-}
-
-Hypervector SpatialEncoder::encode(std::span<const float> sample) const {
-  require(sample.size() == channels_, "SpatialEncoder: sample size != channel count");
-  const kernels::Backend& backend = kernels::active_backend();
-  if (channels_ <= kernels::kBindMajorityMaxChannels) {
-    Hypervector out(dim());
-    bind_majority(sample, backend, out.mutable_words().data());
-    return out;
-  }
+void SpatialEncoder::encode_into(std::span<const float> sample, const kernels::Backend& backend,
+                                 Word* out) const {
   const std::size_t words = words_for_dim(dim());
+  if (channels_ <= kernels::kBindMajorityMaxChannels) {
+    // Closed form: the majority goes straight from the IM and CIM rows into
+    // `out`, with no bound rows and no arena.
+    std::array<const Word*, kernels::kBindMajorityMaxChannels> items{};
+    std::array<const Word*, kernels::kBindMajorityMaxChannels> levels{};
+    for (std::size_t c = 0; c < channels_; ++c) {
+      items[c] = im_->at(c).words().data();
+      levels[c] = cim_->encode(sample[c]).words().data();
+    }
+    backend.bind_majority_words(items.data(), levels.data(), channels_, out, words);
+    return;
+  }
   const std::size_t rows = bound_rows();
   SpatialArena& arena = spatial_arena();
   arena.rows.resize(rows * words);
   arena.row_ptrs.resize(rows);
-  bind_sample_rows(sample, backend, arena.rows.data());
+  for (std::size_t c = 0; c < channels_; ++c) {
+    backend.xor_words(im_->at(c).words().data(), cim_->encode(sample[c]).words().data(),
+                      arena.rows.data() + c * words, words);
+  }
+  if (channels_ % 2 == 0) {
+    // §5.1's reproducible tie-break operand: the XOR of the first two
+    // bound rows, appended so the majority count is odd.
+    backend.xor_words(arena.rows.data(), arena.rows.data() + words,
+                      arena.rows.data() + channels_ * words, words);
+  }
   for (std::size_t r = 0; r < rows; ++r) arena.row_ptrs[r] = arena.rows.data() + r * words;
+  // Bound rows have zero padding, so the majority does too.
+  backend.threshold_words(arena.row_ptrs.data(), rows, rows / 2, out, words);
+}
+
+Hypervector SpatialEncoder::encode(std::span<const float> sample) const {
+  require(sample.size() == channels_, "SpatialEncoder: sample size != channel count");
   Hypervector out(dim());
-  backend.threshold_words(arena.row_ptrs.data(), rows, rows / 2,
-                          out.mutable_words().data(), words);
-  return out;  // bound rows have zero padding, so the majority does too
+  encode_into(sample, kernels::active_backend(), out.mutable_words().data());
+  return out;
 }
 
 void SpatialEncoder::encode_batch(std::span<const std::vector<float>> samples,
                                   std::span<Hypervector> out) const {
   require(samples.size() == out.size(),
           "SpatialEncoder::encode_batch: samples/out size mismatch");
-  if (samples.empty()) return;
   const kernels::Backend& backend = kernels::active_backend();
-  if (channels_ <= kernels::kBindMajorityMaxChannels) {
-    // Closed form: each sample's majority goes straight into its output
-    // hypervector, with no bound rows and no arena.
-    for (std::size_t s = 0; s < samples.size(); ++s) {
-      require(samples[s].size() == channels_,
-              "SpatialEncoder::encode_batch: sample size != channel count");
-      require(out[s].dim() == dim(), "SpatialEncoder::encode_batch: output dimension mismatch");
-      bind_majority(samples[s], backend, out[s].mutable_words().data());
-    }
-    return;
-  }
-  const std::size_t words = words_for_dim(dim());
-  const std::size_t rows = bound_rows();
-  const std::size_t words_per_sample = rows * words;
-  // Chunk the batch so the packed matrix stays cache-resident while still
-  // amortizing the gather over many samples per pass.
-  const std::size_t chunk_samples =
-      std::max<std::size_t>(1, kArenaWordBudget / words_per_sample);
-  SpatialArena& arena = spatial_arena();
-  for (std::size_t base = 0; base < samples.size(); base += chunk_samples) {
-    const std::size_t chunk = std::min(chunk_samples, samples.size() - base);
-    arena.rows.resize(chunk * words_per_sample);
-    arena.row_ptrs.resize(rows);
-    // Pass 1: quantize every channel of every sample in the chunk and
-    // gather the bound CIM/IM rows into one contiguous packed word matrix.
-    for (std::size_t s = 0; s < chunk; ++s) {
-      const std::vector<float>& sample = samples[base + s];
-      require(sample.size() == channels_,
-              "SpatialEncoder::encode_batch: sample size != channel count");
-      require(out[base + s].dim() == dim(),
-              "SpatialEncoder::encode_batch: output dimension mismatch");
-      bind_sample_rows(sample, backend, arena.rows.data() + s * words_per_sample);
-    }
-    // Pass 2: word-parallel channel majority over each sample's packed
-    // row slice, straight into the caller's hypervectors.
-    for (std::size_t s = 0; s < chunk; ++s) {
-      const Word* sample_rows = arena.rows.data() + s * words_per_sample;
-      for (std::size_t r = 0; r < rows; ++r) arena.row_ptrs[r] = sample_rows + r * words;
-      backend.threshold_words(arena.row_ptrs.data(), rows, rows / 2,
-                              out[base + s].mutable_words().data(), words);
-    }
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    require(samples[s].size() == channels_,
+            "SpatialEncoder::encode_batch: sample size != channel count");
+    require(out[s].dim() == dim(), "SpatialEncoder::encode_batch: output dimension mismatch");
+    encode_into(samples[s], backend, out[s].mutable_words().data());
   }
 }
 
@@ -283,7 +235,7 @@ std::size_t StreamingEncoder::push(std::span<const std::vector<float>> samples,
   const kernels::Backend& backend = kernels::active_backend();
   const std::size_t chunk_cap = std::min(kPushChunkSamples, samples.size());
   if (chunk_.size() < chunk_cap) chunk_.resize(chunk_cap, Hypervector(dim()));
-  // Chunked packed spatial encode feeding the sliding N-gram recurrence;
+  // Chunked spatial encode feeding the sliding N-gram recurrence;
   // with n == 1 the ring is bypassed, every spatial being its own 1-gram.
   for (std::size_t base = 0; base < samples.size(); base += chunk_cap) {
     const std::size_t chunk = std::min(chunk_cap, samples.size() - base);

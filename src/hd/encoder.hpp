@@ -49,15 +49,10 @@ class SpatialEncoder {
   /// heap allocation either way.
   Hypervector encode(std::span<const float> sample) const;
 
-  /// Packed batch encode: encodes samples[i] into out[i]; both spans must
-  /// have equal length and every out[i] must already be a hypervector of
-  /// dim() components. Bit-identical to calling encode() per sample. Up to
-  /// kernels::kBindMajorityMaxChannels channels every sample runs the
-  /// closed form straight into out[i]; wider samples gather the bound rows
-  /// of a whole chunk into one contiguous packed word matrix (the same
-  /// reused per-thread arena) and the channel majority then runs
-  /// word-parallel over the packed rows, sample after sample, with zero
-  /// heap churn.
+  /// Batch encode: encodes samples[i] into out[i]; both spans must have
+  /// equal length and every out[i] must already be a hypervector of dim()
+  /// components. Runs the same per-sample routine as encode() straight into
+  /// out[i], so it is bit-identical to calling encode() per sample.
   void encode_batch(std::span<const std::vector<float>> samples,
                     std::span<Hypervector> out) const;
 
@@ -73,13 +68,10 @@ class SpatialEncoder {
     return channels_ + (channels_ % 2 == 0 ? 1 : 0);
   }
 
-  /// The closed-form encode of one sample into `out` (channels() <=
-  /// kernels::kBindMajorityMaxChannels).
-  void bind_majority(std::span<const float> sample, const kernels::Backend& backend,
-                     Word* out) const;
-
-  void bind_sample_rows(std::span<const float> sample, const kernels::Backend& backend,
-                        Word* rows) const;
+  /// The one per-sample encode behind encode and encode_batch: writes the
+  /// sample's spatial hypervector into the dim()-component words at `out`.
+  void encode_into(std::span<const float> sample, const kernels::Backend& backend,
+                   Word* out) const;
 
   const ItemMemory* im_;
   const ContinuousItemMemory* cim_;

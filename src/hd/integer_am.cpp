@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
 
 namespace pulphd::hd {
 
@@ -63,19 +62,15 @@ AmDecision IntegerAssociativeMemory::classify(const Hypervector& query) const {
 }
 
 std::vector<AmDecision> IntegerAssociativeMemory::classify_batch(
-    std::span<const Hypervector> queries, std::size_t threads) const {
+    std::span<const Hypervector> queries) const {
   check_invariant(is_trained(), "IntegerAssociativeMemory::classify_batch: untrained classes");
   const std::vector<double> inv = inverse_norms();
-  std::vector<AmDecision> decisions(queries.size());
-  // Queries are independent given the shared (read-only) norms; each shard
-  // writes only its own decision slots, so any thread count is bit-identical.
-  parallel_shards(threads, queries.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t q = begin; q < end; ++q) {
-      require(queries[q].dim() == dim_,
-              "IntegerAssociativeMemory::classify_batch: dimension mismatch");
-      decisions[q] = classify_with_norms(queries[q], inv);
-    }
-  });
+  std::vector<AmDecision> decisions;
+  decisions.reserve(queries.size());
+  for (const Hypervector& query : queries) {
+    require(query.dim() == dim_, "IntegerAssociativeMemory::classify_batch: dimension mismatch");
+    decisions.push_back(classify_with_norms(query, inv));
+  }
   return decisions;
 }
 

@@ -40,12 +40,7 @@ class IntegerAssociativeMemory {
   /// Batched classification: one decision per query, identical to calling
   /// `classify` on each, with the per-class L2 norms computed once for the
   /// whole batch instead of once per query.
-  ///
-  /// `threads` shards the queries across the shared host thread pool (each
-  /// query's decision is independent, so any thread count is bit-identical).
-  /// 1 = serial on the caller, 0 = one shard per hardware thread.
-  std::vector<AmDecision> classify_batch(std::span<const Hypervector> queries,
-                                         std::size_t threads = 1) const;
+  std::vector<AmDecision> classify_batch(std::span<const Hypervector> queries) const;
 
   /// Thresholds the counters into a plain binary AM prototype (sign bit) —
   /// for comparing both read-outs from identical training.

@@ -837,9 +837,45 @@ std::string format_binary_stream_push_request(std::span<const hd::Sample> sample
   return frame(std::move(payload));
 }
 
+namespace {
+
+/// Decodes a text `err code=CODE msg=TEXT` line (without its newline).
+BinaryResponse text_refusal(std::string_view line) {
+  constexpr std::string_view kCode = "err code=";
+  constexpr std::string_view kMsg = " msg=";
+  const std::size_t msg = line.find(kMsg);
+  if (!line.starts_with(kCode) || msg == std::string_view::npos || msg == kCode.size()) {
+    fail(kErrBadRequest, "malformed text error line before the first response frame");
+  }
+  BinaryResponse response;
+  response.type = kFrameError;
+  response.error_code = std::string(line.substr(kCode.size(), msg - kCode.size()));
+  response.error_message = std::string(line.substr(msg + kMsg.size()));
+  response.fatal = true;  // the server closes a refused connection
+  return response;
+}
+
+}  // namespace
+
 std::optional<BinaryResponse> BinaryResponseParser::next() {
+  if (!decoded_any_ && buffer_.starts_with("err ")) {
+    const std::size_t eol = buffer_.find('\n');
+    if (eol == std::string::npos) {
+      if (buffer_.size() > kMaxLineBytes) {
+        buffer_.clear();
+        fail(kErrBadRequest, "text error line exceeds " + std::to_string(kMaxLineBytes) +
+                                 " bytes");
+      }
+      return std::nullopt;
+    }
+    BinaryResponse response = text_refusal(std::string_view(buffer_).substr(0, eol));
+    buffer_.erase(0, eol + 1);
+    decoded_any_ = true;
+    return response;
+  }
   const std::optional<std::string> payload = pop_frame(buffer_, kMaxFrameBytes, kErrBadRequest);
   if (!payload) return std::nullopt;
+  decoded_any_ = true;
   PayloadReader reader(*payload, "response");
   BinaryResponse response;
   response.type = reader.u8("response type");

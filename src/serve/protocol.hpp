@@ -457,7 +457,10 @@ struct BinaryResponse {
 
 /// Incremental client-side decoder for binary response frames; mirrors
 /// BinaryRequestParser. Throws pulphd::CodedError (bad-request) on frames
-/// the server should never produce.
+/// the server should never produce. A server refuses a connection before
+/// wire negotiation with one text line (`err code=overloaded ...`), so when
+/// nothing has been decoded yet and the bytes begin with "err ", that line
+/// is decoded as a fatal kFrameError response instead of a length prefix.
 class BinaryResponseParser {
  public:
   void feed(std::string_view bytes) { buffer_.append(bytes.data(), bytes.size()); }
@@ -466,6 +469,7 @@ class BinaryResponseParser {
 
  private:
   std::string buffer_;
+  bool decoded_any_ = false;
 };
 
 }  // namespace pulphd::serve

@@ -92,12 +92,11 @@ class ModelRegistry {
   std::vector<ModelInfo> infos() const PULPHD_EXCLUDES(mutex_);
 
  private:
-  /// One route: the stable name plus its swappable published snapshot and
-  /// the thread knob to re-apply when reloading.
+  /// One route: the stable name plus its swappable published snapshot
+  /// (whose classifier carries the thread knob a reload re-applies).
   struct Slot {
     std::string name;
     ModelSnapshot current;
-    std::size_t threads = 1;
   };
 
   Slot* find_locked(const std::string& name) PULPHD_REQUIRES(mutex_);

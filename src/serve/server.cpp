@@ -401,8 +401,8 @@ void ClassifyServer::accept_ready(int listen_fd) {
     }
     if (config_.max_connections > 0 && conns_.size() >= config_.max_connections) {
       // Shed load at the door. The refusal is always the text encoding:
-      // the connection never got to negotiate, and an error line is
-      // readable in a terminal while a binary client fails fast anyway.
+      // the connection never got to negotiate, an error line is readable
+      // in a terminal, and BinaryResponseParser decodes it for phd2 clients.
       const std::string refusal = ResponseEncoder(Wire::kText).error(
           kErrOverloaded, "server is at its connection limit (" +
                               std::to_string(config_.max_connections) + "); retry later");
@@ -809,8 +809,8 @@ struct ClassifyServer::RequestHandler {
         }
       }
     }
-    // The bit-identical offline batch path: trial encodes sharded across
-    // the classifier's pool shards, then the word-parallel AM kernel.
+    // The bit-identical offline batch path: trials encoded on at most the
+    // classifier's `threads` threads, then the serial AM search.
     const std::vector<hd::AmDecision> decisions = entry->classifier.predict_batch(classify.trials);
     return encoder.classify(entry->name, decisions);
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -133,6 +134,27 @@ TEST(ParallelShards, CoversRangeForAnyThreadCount) {
       for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
     });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelShards, NeverRunsMoreThanThreadsShardsAtOnce) {
+  for (const std::size_t threads : {1ul, 2ul, 4ul}) {
+    std::atomic<std::size_t> in_flight{0};
+    std::atomic<std::size_t> max_in_flight{0};
+    std::atomic<std::size_t> calls{0};
+    parallel_shards(threads, 64, [&](std::size_t, std::size_t) {
+      calls.fetch_add(1);
+      const std::size_t now = in_flight.fetch_add(1) + 1;
+      std::size_t seen = max_in_flight.load();
+      while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+      }
+      // Hold the shard long enough for every other shard to start.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      in_flight.fetch_sub(1);
+    });
+    EXPECT_LE(calls.load(), threads) << "threads=" << threads;
+    EXPECT_LE(max_in_flight.load(), threads) << "threads=" << threads;
+    EXPECT_GE(max_in_flight.load(), 1u) << "threads=" << threads;
   }
 }
 

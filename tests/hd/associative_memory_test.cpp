@@ -164,20 +164,46 @@ AssociativeMemory trained_am(std::size_t classes, std::size_t dim, std::uint64_t
   return am;
 }
 
+/// Independent nearest-prototype oracle: Hypervector::hamming against every
+/// prototype object, lowest label on ties.
+AmDecision nearest_prototype(const AssociativeMemory& am, const Hypervector& query) {
+  AmDecision oracle;
+  oracle.distances = hamming_to_all(query, am.prototypes());
+  for (std::size_t c = 1; c < oracle.distances.size(); ++c) {
+    if (oracle.distances[c] < oracle.distances[oracle.label]) oracle.label = c;
+  }
+  oracle.distance = oracle.distances[oracle.label];
+  return oracle;
+}
+
 TEST(AssociativeMemory, ClassifyBatchMatchesPerQueryClassify) {
-  // Non-word-aligned dim exercises the padding tail of the batch kernel.
-  const AssociativeMemory am = trained_am(5, 1000, 21);
+  // Non-word-aligned dim exercises the padding tail of the search kernel.
+  AssociativeMemory am = trained_am(5, 1000, 21);
   Xoshiro256StarStar rng(22);
   std::vector<Hypervector> queries;
   for (int i = 0; i < 17; ++i) queries.push_back(Hypervector::random(1000, rng));
-  const std::vector<AmDecision> batch = am.classify_batch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const AmDecision single = am.classify(queries[q]);
-    EXPECT_EQ(batch[q].label, single.label);
-    EXPECT_EQ(batch[q].distance, single.distance);
-    EXPECT_EQ(batch[q].distances, single.distances);
-  }
+  queries.push_back(am.prototype(3));  // an exact hit: distance 0
+  const auto check = [&](const AssociativeMemory& memory) {
+    const std::vector<AmDecision> batch = memory.classify_batch(queries);
+    ASSERT_EQ(batch.size(), queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const AmDecision oracle = nearest_prototype(memory, queries[q]);
+      const AmDecision single = memory.classify(queries[q]);
+      EXPECT_EQ(single.label, oracle.label) << "query " << q;
+      EXPECT_EQ(single.distance, oracle.distance) << "query " << q;
+      EXPECT_EQ(single.distances, oracle.distances) << "query " << q;
+      EXPECT_EQ(batch[q].label, oracle.label) << "query " << q;
+      EXPECT_EQ(batch[q].distance, oracle.distance) << "query " << q;
+      EXPECT_EQ(batch[q].distances, oracle.distances) << "query " << q;
+    }
+  };
+  check(am);
+  // Duplicate prototypes tie on every query: the lowest label must win.
+  std::vector<Hypervector> tied = am.prototypes();
+  tied[4] = tied[1];
+  tied[2] = tied[1];
+  am.load_prototypes(tied);
+  check(am);
 }
 
 TEST(AssociativeMemory, ClassifyBatchHandlesEmptyBatch) {

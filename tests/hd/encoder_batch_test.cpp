@@ -1,4 +1,4 @@
-// Packed batch spatial encoding: SpatialEncoder::encode_batch must be
+// Batch spatial encoding: SpatialEncoder::encode_batch must be
 // bit-identical to the per-sample encode path for every channel parity,
 // dimension tail shape, batch size and thread count, and equal to the
 // per-component reference on every backend — and the classifier's
@@ -52,17 +52,22 @@ TEST(SpatialEncoderBatch, MatchesSerialEncodeAcrossShapes) {
 }
 
 TEST(SpatialEncoderBatch, MatchesMajorityOfBoundChannels) {
-  // The packed path must agree with the documented semantics, not just the
-  // serial encode: majority over bind_channels (tie-break row included).
+  // Both paths must agree with the documented semantics, not just with each
+  // other: majority over bind_channels (tie-break row included). 4 channels
+  // run the closed form, 5 and 8 the arena + threshold_words routine.
   Xoshiro256StarStar rng(0x5eed);
-  const ItemMemory im(4, 2048, 1);
-  const ContinuousItemMemory cim(22, 2048, 0.0, 21.0, 2);
-  const SpatialEncoder enc(im, cim, 4);
-  const auto samples = random_samples(5, 4, rng);
-  std::vector<Hypervector> out(samples.size(), Hypervector(2048));
-  enc.encode_batch(samples, out);
-  for (std::size_t s = 0; s < samples.size(); ++s) {
-    EXPECT_EQ(out[s], majority(enc.bind_channels(samples[s])));
+  for (const std::size_t channels : {4u, 5u, 8u}) {
+    const ItemMemory im(channels, 2048, 1);
+    const ContinuousItemMemory cim(22, 2048, 0.0, 21.0, 2);
+    const SpatialEncoder enc(im, cim, channels);
+    const auto samples = random_samples(5, channels, rng);
+    std::vector<Hypervector> out(samples.size(), Hypervector(2048));
+    enc.encode_batch(samples, out);
+    for (std::size_t s = 0; s < samples.size(); ++s) {
+      const Hypervector expected = majority(enc.bind_channels(samples[s]));
+      EXPECT_EQ(out[s], expected) << "channels " << channels << " sample " << s;
+      EXPECT_EQ(enc.encode(samples[s]), expected) << "channels " << channels << " sample " << s;
+    }
   }
 }
 

@@ -243,7 +243,7 @@ TEST(FusedTrialEncoding, EncodeTrialsIdenticalAcrossThreadCountsAndFusion) {
   cfg.channels = 4;
   cfg.ngram = 3;
   HdClassifier clf(cfg);
-  // Uneven trial lengths exercise the oversubscribed shard grain.
+  // Uneven trial lengths give the shards uneven work.
   std::vector<Trial> trials;
   for (const std::size_t samples : {3u, 17u, 5u, 40u, 3u, 9u, 21u, 4u, 12u, 7u}) {
     trials.push_back(random_trial(samples, cfg.channels, rng));

@@ -1,8 +1,8 @@
 // Bit-exact equivalence of every compiled kernel backend against the
 // portable SWAR reference, across dimensions that exercise every tail shape
 // (sub-word, exact-word, word+1, the paper's 313-word rows, the 10,048-D
-// bench config and a multi-block threshold), empty/1/3/129-row batches and
-// 1-vs-N thread counts; the counter, threshold and closed-form spatial
+// bench config and a multi-block threshold) and 1/3/129-query batches
+// against 1-8 prototype rows; the counter, threshold and closed-form spatial
 // kernels are also checked against naive per-column counts, since portable
 // shares their code. Plus the dispatch contract: PULPHD_BACKEND is
 // honored, unknown values fail with a clear error.
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "kernels/primitives.hpp"
 
 namespace pulphd::kernels {
 namespace {
@@ -257,37 +256,35 @@ TEST(BackendEquivalence, BindMajorityWordsMatchesThresholdWordsOverBoundRows) {
   }
 }
 
-TEST(BackendEquivalence, HammingDistanceMatrixMatchesPortableAcrossThreads) {
-  BackendGuard guard;
+TEST(BackendEquivalence, HammingRowsMatchesPortableAcrossShapes) {
+  // The AM search: one hamming_rows call per query against a packed
+  // prototype matrix, over batches of 1, 3 and 129 queries.
   Xoshiro256StarStar rng(0xb004);
-  const std::size_t kBatches[] = {0, 1, 3, 129};
-  const std::size_t kThreads[] = {1, 4};
-  const std::size_t classes = 5;
-  for (const std::size_t dim : {65u, 10016u, 10048u}) {
+  const std::size_t kBatches[] = {1, 3, 129};
+  const std::size_t kClasses[] = {1, 2, 5, 8};
+  for (const std::size_t dim : kDims) {
     const std::size_t words = words_for_dim(dim);
-    std::vector<Word> prototypes;
-    for (std::size_t c = 0; c < classes; ++c) {
-      const std::vector<Word> row = random_row(dim, rng);
-      prototypes.insert(prototypes.end(), row.begin(), row.end());
-    }
-    for (const std::size_t batch : kBatches) {
-      std::vector<Word> queries;
-      for (std::size_t q = 0; q < batch; ++q) {
+    for (const std::size_t classes : kClasses) {
+      std::vector<Word> prototypes;
+      for (std::size_t c = 0; c < classes; ++c) {
         const std::vector<Word> row = random_row(dim, rng);
-        queries.insert(queries.end(), row.begin(), row.end());
+        prototypes.insert(prototypes.end(), row.begin(), row.end());
       }
-      std::vector<std::uint32_t> ref(batch * classes);
-      force_backend(&portable_backend());
-      hamming_distance_matrix(queries, prototypes, batch, classes, words, ref, 1);
-      for (const Backend* backend : compiled_backends()) {
-        if (!backend->supported()) continue;
-        for (const std::size_t threads : kThreads) {
-          std::vector<std::uint32_t> out(batch * classes, 0xffffffffu);
-          force_backend(backend);
-          hamming_distance_matrix(queries, prototypes, batch, classes, words, out,
-                                  threads);
-          EXPECT_EQ(out, ref) << backend->name << " dim " << dim << " batch " << batch
-                              << " threads " << threads;
+      for (const std::size_t batch : kBatches) {
+        for (std::size_t q = 0; q < batch; ++q) {
+          const std::vector<Word> query = random_row(dim, rng);
+          std::vector<std::uint32_t> ref(classes);
+          for (std::size_t c = 0; c < classes; ++c) {
+            ref[c] = static_cast<std::uint32_t>(portable_backend().hamming_words(
+                query.data(), prototypes.data() + c * words, words));
+          }
+          for (const Backend* backend : compiled_backends()) {
+            if (!backend->supported()) continue;
+            std::vector<std::uint32_t> out(classes, 0xffffffffu);
+            backend->hamming_rows(query.data(), prototypes.data(), classes, words, out.data());
+            EXPECT_EQ(out, ref) << backend->name << " dim " << dim << " classes " << classes
+                                << " batch " << batch << " query " << q;
+          }
         }
       }
     }

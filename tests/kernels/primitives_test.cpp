@@ -238,43 +238,5 @@ TEST(HammingWords, ZeroForIdenticalRanges) {
   EXPECT_EQ(hamming_words(a.words(), a.words()), 0u);
 }
 
-TEST(HammingDistanceMatrix, MatchesPairwiseHamming) {
-  constexpr std::size_t kQueries = 7;
-  constexpr std::size_t kClasses = 5;
-  constexpr std::size_t kTestDim = 1000;  // 31.25 words: non-aligned tail
-  const std::size_t words = words_for_dim(kTestDim);
-  Xoshiro256StarStar rng(43);
-  std::vector<Hypervector> queries, protos;
-  std::vector<Word> packed_queries, packed_protos;
-  for (std::size_t q = 0; q < kQueries; ++q) {
-    queries.push_back(Hypervector::random(kTestDim, rng));
-    packed_queries.insert(packed_queries.end(), queries.back().words().begin(),
-                          queries.back().words().end());
-  }
-  for (std::size_t c = 0; c < kClasses; ++c) {
-    protos.push_back(Hypervector::random(kTestDim, rng));
-    packed_protos.insert(packed_protos.end(), protos.back().words().begin(),
-                         protos.back().words().end());
-  }
-  std::vector<std::uint32_t> out(kQueries * kClasses);
-  hamming_distance_matrix(packed_queries, packed_protos, kQueries, kClasses, words, out);
-  for (std::size_t q = 0; q < kQueries; ++q) {
-    for (std::size_t c = 0; c < kClasses; ++c) {
-      EXPECT_EQ(out[q * kClasses + c], queries[q].hamming(protos[c]))
-          << "q=" << q << " c=" << c;
-    }
-  }
-}
-
-TEST(HammingDistanceMatrix, ValidatesShapes) {
-  std::vector<Word> queries(4), protos(4);
-  std::vector<std::uint32_t> out(4);
-  // 2 queries x 2 words and 2 protos x 2 words need 2 x 2 outputs.
-  EXPECT_THROW(
-      hamming_distance_matrix(queries, protos, 2, 2, 2, std::span(out).first(3)),
-      std::logic_error);
-  EXPECT_THROW(hamming_distance_matrix(queries, protos, 3, 2, 2, out), std::logic_error);
-}
-
 }  // namespace
 }  // namespace pulphd::kernels

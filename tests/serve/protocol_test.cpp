@@ -463,6 +463,33 @@ TEST(ServeBinaryResponses, RoundTripThroughResponseParser) {
   EXPECT_TRUE(parser.idle());
 }
 
+TEST(ServeBinaryResponses, ParserDecodesTheTextRefusalLine) {
+  // A server at its connection limit refuses before wire negotiation with
+  // one text error line; a phd2 client reads it as a fatal error response,
+  // not as the length prefix "err " (~544 MB).
+  const std::string message = "server is at its connection limit (1); retry later";
+  const std::string refusal = ResponseEncoder(Wire::kText).error(kErrOverloaded, message);
+  BinaryResponseParser parser;
+  parser.feed(refusal.substr(0, 10));
+  EXPECT_FALSE(parser.next().has_value());  // waits for the newline
+  parser.feed(refusal.substr(10));
+  const auto error = parser.next();
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->type, kFrameError);
+  EXPECT_EQ(error->error_code, kErrOverloaded);
+  EXPECT_EQ(error->error_message, message);
+  EXPECT_TRUE(error->fatal);
+  EXPECT_TRUE(parser.idle());
+
+  // Once a frame has been decoded, the connection is framed: the same bytes
+  // are a length prefix over the limit.
+  BinaryResponseParser framed;
+  framed.feed(ResponseEncoder(Wire::kBinary).pong());
+  EXPECT_EQ(framed.next()->type, kFramePong);
+  framed.feed(refusal);
+  EXPECT_THROW((void)framed.next(), CodedError);
+}
+
 TEST(ServeBinaryResponses, TextEncoderGoldenBytes) {
   const ResponseEncoder encoder(Wire::kText);
   EXPECT_EQ(encoder.pong(), "ok pong\n");

@@ -73,9 +73,9 @@ const char kTopLevelHelp[] =
     "      `pulphd_cli stream --help`.\n"
     "\n"
     "common flags:\n"
-    "  --threads T   host threads for batch encoding/classification\n"
-    "                (1 = serial, 0 = one per hardware thread; results are\n"
-    "                bit-identical for any value)\n"
+    "  --threads T   at most T host threads encode each batch of trials\n"
+    "                (1 = serial, 0 = one per hardware thread; the AM search\n"
+    "                is serial; results are bit-identical for any value)\n"
     "\n"
     "environment:\n"
     "  PULPHD_BACKEND     force the SIMD kernel backend (portable|avx2|neon);\n"
@@ -113,9 +113,9 @@ const char kServeHelp[] =
     "                       printed on startup)\n"
     "  --default NAME       model answering requests that name no model\n"
     "                       (default: the first --model)\n"
-    "  --threads T          host threads used per request for batch\n"
-    "                       encoding/classification (1 = serial, 0 = one\n"
-    "                       per hardware thread)\n"
+    "  --threads T          at most T host threads encode one request's\n"
+    "                       trials (1 = serial, 0 = one per hardware\n"
+    "                       thread)\n"
     "  --workers W          worker threads executing classify requests\n"
     "                       (0 = one per hardware thread; default 0)\n"
     "  --max-conns N        simultaneous-connection cap; a connection over\n"
@@ -187,7 +187,7 @@ struct Options {
   std::string model_name;  ///< train --name: embedded in the saved file
   std::size_t dim = 10000;
   std::size_t subject = 0;
-  std::size_t threads = 1;  ///< host threads for batch encode/classify (0 = auto)
+  std::size_t threads = 1;  ///< cap on the threads encoding a batch (0 = auto)
   std::uint64_t seed = emg::GeneratorConfig{}.seed;
 };
 
@@ -281,7 +281,7 @@ int cmd_eval(const Options& opt) {
   const emg::ProtocolConfig protocol;
   const auto split = ds.split(opt.subject, protocol.train_fraction);
   // Batch path: all test trials are encoded and classified in one pass,
-  // sharded across --threads host threads.
+  // encoded on at most --threads host threads.
   std::vector<hd::Trial> segments;
   segments.reserve(split.test.size());
   for (const emg::EmgTrial* trial : split.test) {
