@@ -1,19 +1,22 @@
 // Kernel-backend benchmark: the one writer of BENCH_hd_ops.json.
 //
 // Drives every compiled+supported kernel backend through the library's hot
-// kernels (the AM's hamming_rows search, bulk XOR, bulk majority, batch
-// spatial encode, end-to-end encode_trials) with warmup iterations and
-// median-of-N timing, and emits the rows as BENCH_hd_ops.json so the repo's
-// perf trajectory is recorded in a diffable form:
+// kernels (the AM's hamming_rows search, bulk XOR, bulk majority, the
+// trial-shape counter accumulate, batch spatial encode, end-to-end
+// encode_trials) with warmup iterations and median-of-N timing, and emits
+// the rows as BENCH_hd_ops.json so the repo's perf trajectory is recorded in
+// a diffable form:
 //
 //   {"kernel": "hamming_rows", "backend": "avx2", "threads": 1,
-//    "dim": 10048, "batch": 1024, "ns_per_query": 812.4, "gb_per_s": 30.9,
-//    "reps": 9, "warmup": 3}
+//    "dim": 10048, "batch": 1024, "ns_per_query": 812.4, "p25_ns": 801.2,
+//    "p75_ns": 830.9, "gb_per_s": 30.9, "reps": 9, "warmup": 3}
 //
 // ns_per_query is the median over `reps` timed repetitions (each a
-// calibrated block of inner iterations) divided by the items per call;
-// gb_per_s is the kernel's streamed bytes per item at that rate. Needs no
-// google-benchmark, so it is always built.
+// calibrated block of inner iterations) divided by the items per call, and
+// p25_ns / p75_ns the quartiles of the same repetitions, so a row that
+// moved can be told from one that spread; gb_per_s is the kernel's
+// streamed bytes per item at the median. Needs no google-benchmark, so it
+// is always built.
 //
 // Usage: bench_backends [--quick] [--out=PATH]
 //   --quick     CI smoke mode: fewer reps, shorter timed blocks
@@ -47,6 +50,8 @@ struct BenchRow {
   std::size_t dim = 0;
   std::size_t batch = 1;
   double ns_per_query = 0.0;
+  double p25_ns = 0.0;
+  double p75_ns = 0.0;
   double gb_per_s = 0.0;
   std::size_t reps = 0;
   std::size_t warmup = 0;
@@ -58,19 +63,28 @@ struct SuiteOptions {
 
 namespace detail {
 
-double median(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  return n % 2 == 1 ? samples[n / 2] : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+/// Quartiles of the timed repetitions, in ns per item.
+struct Spread {
+  double p25 = 0.0;
+  double p50 = 0.0;
+  double p75 = 0.0;
+};
+
+/// Linear-interpolated quantile q of sorted samples.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double at = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(at);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (at - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
 }
 
 /// Times fn with `warmup` discarded repetitions followed by `reps` timed
-/// ones and returns the median ns per item. Each repetition runs a block of
-/// inner iterations calibrated once to ~target_ms so short kernels are not
-/// measured at clock resolution.
+/// ones and returns the quartiles of ns per item. Each repetition runs a
+/// block of inner iterations calibrated once to ~target_ms so short kernels
+/// are not measured at clock resolution.
 template <typename F>
-double median_ns_per_item(F&& fn, std::size_t items_per_call, std::size_t warmup,
-                          std::size_t reps, double target_ms) {
+Spread ns_per_item(F&& fn, std::size_t items_per_call, std::size_t warmup, std::size_t reps,
+                   double target_ms) {
   using Clock = std::chrono::steady_clock;
   const auto once_begin = Clock::now();
   fn();
@@ -91,7 +105,8 @@ double median_ns_per_item(F&& fn, std::size_t items_per_call, std::size_t warmup
     samples.push_back(std::chrono::duration<double, std::nano>(end - begin).count() /
                       static_cast<double>(inner * items_per_call));
   }
-  return median(std::move(samples));
+  std::sort(samples.begin(), samples.end());
+  return {quantile(samples, 0.25), quantile(samples, 0.5), quantile(samples, 0.75)};
 }
 
 std::vector<Word> random_words(std::size_t count, Xoshiro256StarStar& rng) {
@@ -113,6 +128,8 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
   const std::size_t query_batch = opt.quick ? 256 : 1024;
   const std::size_t classes = 5;
   const std::size_t majority_rows = 9;
+  const std::size_t trial_rows = 55;  // one 55-sample trial's 1-grams
+  const unsigned trial_planes = 6;    // counter_planes_for(55)
   const std::size_t encode_batch = opt.quick ? 64 : 256;
   const std::size_t trials_batch = opt.quick ? 16 : 64;
   const std::size_t samples_per_trial = 20;
@@ -128,15 +145,17 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
 
   auto push_row = [&](const char* kernel, const kernels::Backend* backend,
                       std::size_t threads, std::size_t dim, std::size_t batch,
-                      double ns_per_query, double bytes_per_query) {
+                      const detail::Spread& ns, double bytes_per_query) {
     BenchRow row;
     row.kernel = kernel;
     row.backend = backend->name;
     row.threads = threads;
     row.dim = dim;
     row.batch = batch;
-    row.ns_per_query = ns_per_query;
-    row.gb_per_s = bytes_per_query / ns_per_query;  // bytes/ns == GB/s
+    row.ns_per_query = ns.p50;
+    row.p25_ns = ns.p25;
+    row.p75_ns = ns.p75;
+    row.gb_per_s = bytes_per_query / ns.p50;  // bytes/ns == GB/s
     row.reps = reps;
     row.warmup = warmup;
     rows.push_back(row);
@@ -156,6 +175,12 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
       majority_storage.push_back(detail::random_words(words, rng));
       majority_ptrs.push_back(majority_storage.back().data());
     }
+    std::vector<std::vector<Word>> trial_storage;
+    std::vector<const Word*> trial_ptrs;
+    for (std::size_t r = 0; r < trial_rows; ++r) {
+      trial_storage.push_back(detail::random_words(words, rng));
+      trial_ptrs.push_back(trial_storage.back().data());
+    }
 
     for (const kernels::Backend* backend : backends) {
       const kernels::ScopedBackend forced(backend);
@@ -164,7 +189,7 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
       // prototype matrix per call, serial as classify_batch runs it.
       {
         std::vector<std::uint32_t> out(classes);
-        const double ns = detail::median_ns_per_item(
+        const detail::Spread ns = detail::ns_per_item(
             [&] {
               for (std::size_t q = 0; q < query_batch; ++q) {
                 backend->hamming_rows(queries.data() + q * words, prototypes.data(), classes,
@@ -180,7 +205,7 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
       // the call from being optimized out.
       {
         volatile std::uint64_t sink = 0;
-        const double ns = detail::median_ns_per_item(
+        const detail::Spread ns = detail::ns_per_item(
             [&] { sink = backend->hamming_words(row_a.data(), row_b.data(), words); }, 1,
             warmup, reps, target_ms);
         (void)sink;
@@ -191,7 +216,7 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
       // xor_words: bulk binding.
       {
         std::vector<Word> out(words);
-        const double ns = detail::median_ns_per_item(
+        const detail::Spread ns = detail::ns_per_item(
             [&] { backend->xor_words(row_a.data(), row_b.data(), out.data(), words); }, 1,
             warmup, reps, target_ms);
         push_row("xor_words", backend, 1, dim, 1, ns,
@@ -201,7 +226,7 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
       // majority_words: bit-sliced bundling over 9 rows.
       {
         std::vector<Word> out(words);
-        const double ns = detail::median_ns_per_item(
+        const detail::Spread ns = detail::ns_per_item(
             [&] {
               backend->threshold_words(majority_ptrs.data(), majority_rows,
                                        majority_rows / 2, out.data(), words);
@@ -210,6 +235,24 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
         push_row("majority_words", backend, 1, dim, majority_rows, ns,
                  static_cast<double>(majority_rows + 1) * static_cast<double>(words) *
                      word_bytes);
+      }
+
+      // accumulate_counters: one trial's bundling at the paper's shape — 55
+      // N-gram rows into 6 counter planes in one multi-row call, as
+      // StreamingEncoder hands a whole-trial window its chunk. With 6
+      // planes the planes stay in registers, so the cost does not depend
+      // on the counts and the planes need no reset between calls.
+      {
+        std::vector<Word> planes(trial_planes * words);
+        const detail::Spread ns = detail::ns_per_item(
+            [&] {
+              backend->accumulate_rows(trial_ptrs.data(), trial_rows, planes.data(),
+                                       trial_planes, words);
+            },
+            1, warmup, reps, target_ms);
+        push_row("accumulate_counters", backend, 1, dim, trial_rows, ns,
+                 static_cast<double>(trial_rows + 2 * trial_planes) *
+                     static_cast<double>(words) * word_bytes);
       }
 
       // spatial_encode_batch: the 4-channel batch spatial encode.
@@ -226,7 +269,7 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
           }
         }
         std::vector<hd::Hypervector> out(encode_batch, hd::Hypervector(dim));
-        const double ns = detail::median_ns_per_item(
+        const detail::Spread ns = detail::ns_per_item(
             [&] { enc.encode_batch(samples, out); }, encode_batch, warmup, reps,
             target_ms);
         // Closed-form bind + majority: reads one IM and one CIM row per
@@ -260,7 +303,7 @@ std::vector<BenchRow> run_backend_suite(const SuiteOptions& opt) {
         const kernels::ScopedBackend forced(backend);
         for (const std::size_t threads : thread_counts) {
           clf.set_threads(threads);
-          const double ns = detail::median_ns_per_item(
+          const detail::Spread ns = detail::ns_per_item(
               [&] { clf.encode_trials(trials); }, trials_batch, warmup, reps, target_ms);
           push_row("encode_trials", backend, threads, dim, trials_batch, ns,
                    static_cast<double>(samples_per_trial) * 5.0 *
@@ -293,6 +336,10 @@ void write_bench_json(const std::vector<BenchRow>& rows, const std::string& path
         << ", \"batch\": " << r.batch;
     std::snprintf(buf, sizeof(buf), "%.2f", r.ns_per_query);
     out << ", \"ns_per_query\": " << buf;
+    std::snprintf(buf, sizeof(buf), "%.2f", r.p25_ns);
+    out << ", \"p25_ns\": " << buf;
+    std::snprintf(buf, sizeof(buf), "%.2f", r.p75_ns);
+    out << ", \"p75_ns\": " << buf;
     std::snprintf(buf, sizeof(buf), "%.3f", r.gb_per_s);
     out << ", \"gb_per_s\": " << buf;
     out << ", \"reps\": " << r.reps << ", \"warmup\": " << r.warmup << "}"
@@ -303,11 +350,12 @@ void write_bench_json(const std::vector<BenchRow>& rows, const std::string& path
 }
 
 void print_rows(const std::vector<BenchRow>& rows) {
-  std::printf("%-26s %-9s %7s %7s %7s %14s %10s\n", "kernel", "backend", "threads", "dim",
-              "batch", "ns/query", "GB/s");
+  std::printf("%-26s %-9s %7s %7s %7s %14s %12s %12s %10s\n", "kernel", "backend", "threads",
+              "dim", "batch", "ns/query", "p25", "p75", "GB/s");
   for (const BenchRow& r : rows) {
-    std::printf("%-26s %-9s %7zu %7zu %7zu %14.2f %10.3f\n", r.kernel.c_str(),
-                r.backend.c_str(), r.threads, r.dim, r.batch, r.ns_per_query, r.gb_per_s);
+    std::printf("%-26s %-9s %7zu %7zu %7zu %14.2f %12.2f %12.2f %10.3f\n", r.kernel.c_str(),
+                r.backend.c_str(), r.threads, r.dim, r.batch, r.ns_per_query, r.p25_ns,
+                r.p75_ns, r.gb_per_s);
   }
 }
 

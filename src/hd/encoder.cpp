@@ -27,9 +27,12 @@ SpatialArena& spatial_arena() {
   return arena;
 }
 
-// Samples StreamingEncoder::push spatial-encodes per encode_batch call:
-// few enough (~80 KiB of hypervectors at the paper's D) to stay
-// cache-resident for the temporal pass over the chunk.
+// Samples StreamingEncoder::push turns into N-grams per chunk. The chunk
+// exists so the bundling kernel sees many rows at once: each open window
+// takes its rows of the chunk in one multi-row accumulate, whose carry-save
+// tree reduces 15 rows per pass over the counter planes. 64 N-grams (~80
+// KiB at the paper's D) stay cache-resident between being written and
+// being bundled.
 constexpr std::size_t kPushChunkSamples = 64;
 
 }  // namespace
@@ -165,7 +168,7 @@ StreamingEncoder::StreamingEncoder(const SpatialEncoder& spatial, std::size_t n,
       n_(n),
       tie_break_(std::move(tie_break)),
       temporal_(n >= 1 ? n : 1, spatial.dim()),
-      gram_(spatial.dim()) {
+      spatial_scratch_(spatial.dim()) {
   require(n >= 1, "StreamingEncoder: n must be >= 1");
   require(tie_break_.dim() == spatial.dim(), "StreamingEncoder: tie-break dim mismatch");
 }
@@ -190,64 +193,83 @@ void StreamingEncoder::reset() noexcept {
   windows_emitted_ = 0;
 }
 
-void StreamingEncoder::on_gram(const kernels::Backend& backend, const Hypervector& gram,
-                               std::vector<Hypervector>& out) {
-  const std::size_t j = grams_seen_++;  // gram j spans samples j .. j+n-1
+void StreamingEncoder::bundle_chunk(const kernels::Backend& backend, std::size_t grams,
+                                    std::vector<Hypervector>& out) {
+  // The chunk holds grams [first, last); gram j spans samples j .. j+n-1.
+  const std::size_t first = grams_seen_;
+  const std::size_t last = first + grams;
+  grams_seen_ = last;
+  if (grams == 0) return;
   const std::size_t span = window_ - n_;  // grams per window, minus one
   if (span == 0) {
-    // One-gram windows (window == n, e.g. the training sequence): window
-    // j / hop is gram j alone, and a majority of one row is that row, so
-    // skip the counter round trip.
-    if (j % hop_ == 0) {
-      out.push_back(gram);
+    // One-gram windows (window == n, e.g. the training sequence): window w
+    // is gram w * hop alone, and a majority of one row is that row, so skip
+    // the counter round trip.
+    for (std::size_t j = (first + hop_ - 1) / hop_ * hop_; j < last; j += hop_) {
+      out.push_back(chunk_[j - first]);
       ++windows_emitted_;
     }
     return;
   }
   const std::size_t words = words_for_dim(dim());
-  // Window w owns grams w*hop .. w*hop + span; gram j therefore feeds every
-  // window whose start lies in [j - span, j] on the hop grid. The slot pool
-  // holds exactly that many bundles, so w % slots size is collision-free.
-  if (j % hop_ == 0) {
-    slots_[(j / hop_) % slots_.size()].reset(words, span + 1);
-  }
-  const std::size_t w_hi = j / hop_;
-  const std::size_t w_lo = j >= span ? (j - span + hop_ - 1) / hop_ : 0;
+  for (std::size_t g = 0; g < grams; ++g) chunk_rows_[g] = chunk_[g].words().data();
+  // Window w owns grams [w*hop, w*hop + span], so its rows in this chunk
+  // are one contiguous range. Windows are visited in ascending order, which
+  // is also the order they end in. The slot pool holds every concurrently
+  // open window and window w + slots size starts only after window w ends,
+  // so w % slots size is collision-free.
+  const std::size_t w_lo = first > span ? (first - span + hop_ - 1) / hop_ : 0;
+  const std::size_t w_hi = (last - 1) / hop_;
   for (std::size_t w = w_lo; w <= w_hi; ++w) {
-    slots_[w % slots_.size()].add(backend, gram.words().data());
-  }
-  if (j >= span && (j - span) % hop_ == 0) {
-    // Gram j is the last of window (j - span) / hop — read its bundle out.
-    // Gram and tie-break padding bits are zero, their counters stay zero,
-    // and zero never exceeds the threshold, so the majority's padding is
-    // zero too.
-    out.emplace_back(dim());
-    slots_[((j - span) / hop_) % slots_.size()].majority(backend, tie_break_.words().data(),
-                                                         out.back().mutable_words().data());
-    ++windows_emitted_;
+    const std::size_t start = w * hop_;
+    const std::size_t end = start + span + 1;
+    kernels::CounterBundle& slot = slots_[w % slots_.size()];
+    if (start >= first) slot.reset(words, span + 1);
+    const std::size_t lo = std::max(start, first);
+    const std::size_t hi = std::min(end, last);
+    slot.add(backend, std::span<const Word* const>(chunk_rows_).subspan(lo - first, hi - lo));
+    if (end <= last) {
+      // The chunk holds the window's last gram — read its bundle out. Gram
+      // and tie-break padding bits are zero, their counters stay zero, and
+      // zero never exceeds the threshold, so the majority's padding is zero
+      // too.
+      out.emplace_back(dim());
+      slot.majority(backend, tie_break_.words().data(), out.back().mutable_words().data());
+      ++windows_emitted_;
+    }
   }
 }
 
 std::size_t StreamingEncoder::push(std::span<const std::vector<float>> samples,
                                    std::vector<Hypervector>& out) {
   require(configured(), "StreamingEncoder::push: configure() must be called first");
+  for (const std::vector<float>& sample : samples) {
+    require(sample.size() == channels(), "StreamingEncoder::push: sample size != channel count");
+  }
   const std::size_t emitted_before = out.size();
   const kernels::Backend& backend = kernels::active_backend();
   const std::size_t chunk_cap = std::min(kPushChunkSamples, samples.size());
-  if (chunk_.size() < chunk_cap) chunk_.resize(chunk_cap, Hypervector(dim()));
-  // Chunked spatial encode feeding the sliding N-gram recurrence;
-  // with n == 1 the ring is bypassed, every spatial being its own 1-gram.
+  if (chunk_.size() < chunk_cap) {
+    chunk_.resize(chunk_cap, Hypervector(dim()));
+    chunk_rows_.resize(chunk_cap);
+  }
   for (std::size_t base = 0; base < samples.size(); base += chunk_cap) {
     const std::size_t chunk = std::min(chunk_cap, samples.size() - base);
-    spatial_.encode_batch(samples.subspan(base, chunk),
-                          std::span<Hypervector>(chunk_).subspan(0, chunk));
+    // Fill the chunk with N-grams: with n == 1 every spatial vector is its
+    // own 1-gram and is encoded straight into its slot; otherwise the
+    // sliding recurrence writes each gram there once the ring is full.
+    std::size_t grams = 0;
     for (std::size_t s = 0; s < chunk; ++s) {
       if (n_ == 1) {
-        on_gram(backend, chunk_[s], out);
-      } else if (temporal_.push(chunk_[s], &gram_)) {
-        on_gram(backend, gram_, out);
+        spatial_.encode_into(samples[base + s], backend,
+                             chunk_[grams++].mutable_words().data());
+        continue;
       }
+      spatial_.encode_into(samples[base + s], backend,
+                           spatial_scratch_.mutable_words().data());
+      if (temporal_.push(spatial_scratch_, &chunk_[grams])) ++grams;
     }
+    bundle_chunk(backend, grams, out);
   }
   samples_pushed_ += samples.size();
   return out.size() - emitted_before;

@@ -73,6 +73,9 @@ class SpatialEncoder {
   void encode_into(std::span<const float> sample, const kernels::Backend& backend,
                    Word* out) const;
 
+  /// StreamingEncoder writes each spatial vector straight into its chunk.
+  friend class StreamingEncoder;
+
   const ItemMemory* im_;
   const ContinuousItemMemory* cim_;
   std::size_t channels_;
@@ -117,10 +120,12 @@ class TemporalEncoder {
   Hypervector rotated_new_;
 };
 
-/// The trial encoder: packed spatial chunks -> sliding N-gram recurrence ->
-/// bit-sliced counter bundling, as an explicit configure/push/emit/reset
-/// state object. Every trial encode in the library is one configuration of
-/// it:
+/// The trial encoder: spatial encode -> sliding N-gram recurrence -> a chunk
+/// of up to 64 N-grams -> bit-sliced counter bundling, as an explicit
+/// configure/push/emit/reset state object. Each open window takes its rows
+/// of the chunk in one multi-row Backend::accumulate_rows call, so the
+/// carry-save kernel sees many rows at once. Every trial encode in the
+/// library is one configuration of it:
 ///   - a served stream: configure(window, hop) once and push samples as they
 ///     arrive, collecting one bundled query hypervector per hop;
 ///   - a batch query: configure(len, len) and push the whole len-sample
@@ -141,7 +146,7 @@ class TemporalEncoder {
 /// the equivalent buffered slice — the N-gram at position j depends only on
 /// samples j..j+n-1, so the continuous recurrence and a fresh per-slice pass
 /// produce the same bits (pinned by tests/hd/streaming_encoder_test). All
-/// state (the n-deep temporal ring, the spatial chunk buffer, and one
+/// state (the n-deep temporal ring, the N-gram chunk buffer, and one
 /// bit-sliced counter bundle per concurrently open window) is owned by the
 /// object and carried across pushes, so a session may migrate between
 /// threads as long as calls are externally serialized.
@@ -193,8 +198,12 @@ class StreamingEncoder {
   std::size_t push(std::span<const std::vector<float>> samples, std::vector<Hypervector>& out);
 
  private:
-  void on_gram(const kernels::Backend& backend, const Hypervector& gram,
-               std::vector<Hypervector>& out);
+  /// Bundles the `grams` N-grams just written to chunk_ (the stream's next
+  /// grams): every window open over them takes its contiguous range of
+  /// chunk rows in one CounterBundle::add, and every window ending inside
+  /// the chunk is read out to `out`, in ascending window order.
+  void bundle_chunk(const kernels::Backend& backend, std::size_t grams,
+                    std::vector<Hypervector>& out);
 
   SpatialEncoder spatial_;
   std::size_t n_;
@@ -202,8 +211,9 @@ class StreamingEncoder {
   std::size_t window_ = 0;  ///< 0 = not configured
   std::size_t hop_ = 0;
   TemporalEncoder temporal_;               ///< preallocated n-deep ring
-  std::vector<Hypervector> chunk_;         ///< spatial chunk buffer, grown on demand
-  Hypervector gram_;                       ///< recurrence output scratch
+  std::vector<Hypervector> chunk_;         ///< the chunk's N-grams, grown on demand
+  std::vector<const Word*> chunk_rows_;    ///< row table over chunk_ for the kernel
+  Hypervector spatial_scratch_;            ///< spatial vector feeding the ring (n > 1)
   std::vector<kernels::CounterBundle> slots_;  ///< one per concurrently open window
   std::size_t samples_pushed_ = 0;
   std::size_t grams_seen_ = 0;

@@ -16,12 +16,18 @@
 //    with pairwise-widening accumulation (AArch64 / ARM with NEON).
 //
 // Componentwise majority has one implementation per backend: the bit-sliced
-// vertical counter of accumulate_counters / counters_to_majority.
-// threshold_words runs those same two kernels over a stack block of counter
-// planes, so spatial and temporal bundling share one counter. The one
-// specialisation is bind_majority_words: the paper's 1–4 channel spatial
-// encode, whose bind + majority (with the §5.1 tie-break row) reduces to a
-// closed form of a few word-wide ORs and ANDs.
+// vertical counter of accumulate_rows / counters_to_majority. The
+// accumulate body is written once (backend_registry.hpp) over each
+// backend's lane type: per block of columns it keeps the low counter planes
+// in registers and reduces the rows 15 at a time through a carry-save
+// (Harley–Seal) adder tree, so bundling many rows costs a few word
+// operations per row instead of a ripple through the planes in memory.
+// accumulate_counters is its one-row case, and threshold_words runs the
+// same body over a stack block of counter planes, so spatial and temporal
+// bundling share one counter. The one specialisation is
+// bind_majority_words: the paper's 1–4 channel spatial encode, whose bind +
+// majority (with the §5.1 tie-break row) reduces to a closed form of a few
+// word-wide ORs and ANDs.
 //
 // Selection happens lazily on first use: the `PULPHD_BACKEND` environment
 // variable (`portable`, `avx2` or `neon`) overrides; otherwise the widest
@@ -71,8 +77,8 @@ struct Backend {
   /// componentwise majority of hd::majority. Requires num_rows >= 1 and
   /// threshold < 2^counter_planes_for(num_rows) (bitsliced.hpp); larger
   /// thresholds lose their high bits. Runs this backend's
-  /// accumulate_counters over every row into counter_planes_for(num_rows)
-  /// stack planes per block of words, then counters_to_majority with no
+  /// accumulate_rows over all rows into counter_planes_for(num_rows) stack
+  /// planes per block of words, then counters_to_majority with no
   /// tie-break.
   void (*threshold_words)(const Word* const* rows, std::size_t num_rows,
                           std::size_t threshold, Word* out, std::size_t n) noexcept;
@@ -89,16 +95,24 @@ struct Backend {
   void (*bind_majority_words)(const Word* const* items, const Word* const* levels,
                               std::size_t channels, Word* out, std::size_t n) noexcept;
 
-  /// Streaming bundling, accumulate half: adds one packed binary row into a
-  /// bit-sliced vertical counter — `num_planes` planes of n words each,
-  /// plane-major (plane p spans planes[p*n, p*n + n)), plane 0 the LSB.
-  /// Every column whose row bit is set is incremented with a ripple of
-  /// half-adders; a column already at 2^num_planes - 1 saturates there
-  /// instead of wrapping. The rows never need to be materialized together,
-  /// so a whole trial's n-grams bundle one row at a time with
-  /// O(num_planes) state.
+  /// Streaming bundling, accumulate half, one row: adds one packed binary
+  /// row into a bit-sliced vertical counter — `num_planes` planes of n words
+  /// each, plane-major (plane p spans planes[p*n, p*n + n)), plane 0 the
+  /// LSB. Every column whose row bit is set is incremented; a column already
+  /// at 2^num_planes - 1 saturates there instead of wrapping. Exactly
+  /// accumulate_rows over the one row.
   void (*accumulate_counters)(const Word* row, Word* planes, unsigned num_planes,
                               std::size_t n) noexcept;
+
+  /// Streaming bundling, accumulate half, many rows: adds the `num_rows`
+  /// packed rows (zero rows is a no-op) into the same saturating
+  /// plane-major counter, bit-identical to num_rows accumulate_counters
+  /// calls in any order. Per block of columns the planes are loaded and
+  /// stored once; the rows go through a carry-save adder tree 15 at a time,
+  /// so a trial's N-grams cost a few word operations per row and never
+  /// materialize together beyond the caller's chunk.
+  void (*accumulate_rows)(const Word* const* rows, std::size_t num_rows, Word* planes,
+                          unsigned num_planes, std::size_t n) noexcept;
 
   /// Streaming bundling, readout half: bit b of out[w] is set iff the
   /// vertical counter of that column exceeds `threshold`, or equals it and

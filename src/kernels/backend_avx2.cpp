@@ -13,10 +13,10 @@
 // the paper's 313/314-word rows this is one vpsadbw per row — the whole
 // distance inner loop runs ~4 instructions per 32 bytes.
 //
-// Counter kernels: the half-adder ripple and the MSB-first comparator
-// readout run 256 columns per pass over plane-major counters in memory.
-// threshold_words is the shared blocked body over these two kernels
-// (backend_registry.hpp).
+// Counter kernels: the shared carry-save accumulate (backend_registry.hpp)
+// over 256-bit lanes, and the MSB-first comparator readout, 256 columns per
+// pass over plane-major counters. threshold_words is the shared blocked body
+// over these two kernels.
 #include <immintrin.h>
 
 #include "kernels/backend_registry.hpp"
@@ -89,38 +89,22 @@ void xor_words_avx2(const Word* a, const Word* b, Word* out, std::size_t n) noex
   for (; w < n; ++w) out[w] = a[w] ^ b[w];
 }
 
-void accumulate_counters_avx2(const Word* row, Word* planes, unsigned num_planes,
-                              std::size_t n) noexcept {
-  // Half-adder ripple with 256-bit lanes: one pass adds the row into 256
-  // vertical counters at once, stopping early once the carry dies (for a
-  // random row the carry halves per plane, so most ripples end after one or
-  // two planes).
-  std::size_t w = 0;
-  for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    __m256i carry = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + w));
-    for (unsigned p = 0; p < num_planes; ++p) {
-      if (_mm256_testz_si256(carry, carry)) break;
-      Word* plane_w = planes + p * n + w;
-      const __m256i plane = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plane_w));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(plane_w),
-                          _mm256_xor_si256(plane, carry));
-      carry = _mm256_and_si256(plane, carry);
-    }
-    if (!_mm256_testz_si256(carry, carry)) {
-      // Carry out of the top plane: saturate the overflowed columns back to
-      // all-planes-set (see the scalar body in backend_registry.hpp).
-      for (unsigned p = 0; p < num_planes; ++p) {
-        Word* plane_w = planes + p * n + w;
-        const __m256i plane = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plane_w));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(plane_w),
-                            _mm256_or_si256(plane, carry));
-      }
-    }
+// The counter lane: 256 columns per vector.
+struct Avx2Lane {
+  using V = __m256i;
+  static constexpr std::size_t kWords = kWordsPerVec;
+  static V load(const Word* p) noexcept {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
-  for (; w < n; ++w) {
-    accumulate_counters_word_scalar(row[w], planes, num_planes, n, w);
+  static void store(Word* p, V v) noexcept {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }
-}
+  static V zero() noexcept { return _mm256_setzero_si256(); }
+  static V xor_(V a, V b) noexcept { return _mm256_xor_si256(a, b); }
+  static V and_(V a, V b) noexcept { return _mm256_and_si256(a, b); }
+  static V or_(V a, V b) noexcept { return _mm256_or_si256(a, b); }
+  static bool any(V v) noexcept { return _mm256_testz_si256(v, v) == 0; }
+};
 
 void counters_to_majority_avx2(const Word* planes, unsigned num_planes,
                                std::size_t threshold, const Word* tie_break, Word* out,
@@ -163,10 +147,10 @@ const Backend kAvx2Backend = {
     .hamming_words = hamming_words_avx2,
     .hamming_rows = hamming_rows_avx2,
     .xor_words = xor_words_avx2,
-    .threshold_words =
-        threshold_words_via_counters<accumulate_counters_avx2, counters_to_majority_avx2>,
+    .threshold_words = threshold_words_via_counters<Avx2Lane, counters_to_majority_avx2>,
     .bind_majority_words = bind_majority_closed_form<xor_words_avx2>,
-    .accumulate_counters = accumulate_counters_avx2,
+    .accumulate_counters = accumulate_counters<Avx2Lane>,
+    .accumulate_rows = accumulate_rows<Avx2Lane>,
     .counters_to_majority = counters_to_majority_avx2,
 };
 

@@ -9,6 +9,9 @@
 // * 8 bits < 256 per byte lane), then one pairwise-widening chain
 // (vpaddlq u8 -> u16 -> u32 -> u64) folds the block into the running u64
 // accumulator.
+//
+// Counter kernels: the shared carry-save accumulate (backend_registry.hpp)
+// over 128-bit lanes, and the MSB-first comparator readout.
 #include <arm_neon.h>
 
 #include "kernels/backend_registry.hpp"
@@ -67,38 +70,22 @@ void xor_words_neon(const Word* a, const Word* b, Word* out, std::size_t n) noex
   for (; w < n; ++w) out[w] = a[w] ^ b[w];
 }
 
-// True when every lane of v is zero; written with vget/vorr so it compiles
-// on ARMv7 NEON too (vmaxvq_u32 is AArch64-only).
-inline bool all_zero_u32(uint32x4_t v) noexcept {
-  const uint32x2_t folded = vorr_u32(vget_low_u32(v), vget_high_u32(v));
-  return (vget_lane_u32(folded, 0) | vget_lane_u32(folded, 1)) == 0;
-}
-
-void accumulate_counters_neon(const Word* row, Word* planes, unsigned num_planes,
-                              std::size_t n) noexcept {
-  // Half-adder ripple with 128-bit lanes, early-exiting once the carry dies
-  // (see the portable kernel for the algorithm and saturation rule).
-  std::size_t w = 0;
-  for (; w + kWordsPerVec <= n; w += kWordsPerVec) {
-    uint32x4_t carry = vld1q_u32(row + w);
-    for (unsigned p = 0; p < num_planes; ++p) {
-      if (all_zero_u32(carry)) break;
-      Word* plane_w = planes + p * n + w;
-      const uint32x4_t plane = vld1q_u32(plane_w);
-      vst1q_u32(plane_w, veorq_u32(plane, carry));
-      carry = vandq_u32(plane, carry);
-    }
-    if (!all_zero_u32(carry)) {
-      for (unsigned p = 0; p < num_planes; ++p) {
-        Word* plane_w = planes + p * n + w;
-        vst1q_u32(plane_w, vorrq_u32(vld1q_u32(plane_w), carry));
-      }
-    }
+// The counter lane: 128 columns per vector. `any` folds with vget/vorr so
+// it compiles on ARMv7 NEON too (vmaxvq_u32 is AArch64-only).
+struct NeonLane {
+  using V = uint32x4_t;
+  static constexpr std::size_t kWords = kWordsPerVec;
+  static V load(const Word* p) noexcept { return vld1q_u32(p); }
+  static void store(Word* p, V v) noexcept { vst1q_u32(p, v); }
+  static V zero() noexcept { return vdupq_n_u32(0); }
+  static V xor_(V a, V b) noexcept { return veorq_u32(a, b); }
+  static V and_(V a, V b) noexcept { return vandq_u32(a, b); }
+  static V or_(V a, V b) noexcept { return vorrq_u32(a, b); }
+  static bool any(V v) noexcept {
+    const uint32x2_t folded = vorr_u32(vget_low_u32(v), vget_high_u32(v));
+    return (vget_lane_u32(folded, 0) | vget_lane_u32(folded, 1)) != 0;
   }
-  for (; w < n; ++w) {
-    accumulate_counters_word_scalar(row[w], planes, num_planes, n, w);
-  }
-}
+};
 
 void counters_to_majority_neon(const Word* planes, unsigned num_planes,
                                std::size_t threshold, const Word* tie_break, Word* out,
@@ -137,10 +124,10 @@ const Backend kNeonBackend = {
     .hamming_words = hamming_words_neon,
     .hamming_rows = hamming_rows_neon,
     .xor_words = xor_words_neon,
-    .threshold_words =
-        threshold_words_via_counters<accumulate_counters_neon, counters_to_majority_neon>,
+    .threshold_words = threshold_words_via_counters<NeonLane, counters_to_majority_neon>,
     .bind_majority_words = bind_majority_closed_form<xor_words_neon>,
-    .accumulate_counters = accumulate_counters_neon,
+    .accumulate_counters = accumulate_counters<NeonLane>,
+    .accumulate_rows = accumulate_rows<NeonLane>,
     .counters_to_majority = counters_to_majority_neon,
 };
 

@@ -3,8 +3,9 @@
 // the packed words in 64-bit chunks — one popcount per two 32-bit words —
 // which is the widest datapath ISO C++ guarantees; where the target lacks a
 // popcount instruction the compiler's SWAR expansion costs the same either
-// way. The counter kernels are the bit-sliced vertical counter, one scalar
-// word column at a time; threshold_words runs on them (backend_registry.hpp).
+// way. The counter kernels are the bit-sliced vertical counter over 64-bit
+// SWAR lanes: the shared carry-save accumulate (backend_registry.hpp) and a
+// scalar readout; threshold_words runs on them.
 #include <bit>
 #include <cstring>
 
@@ -47,12 +48,22 @@ void xor_words_portable(const Word* a, const Word* b, Word* out, std::size_t n) 
   for (std::size_t w = 0; w < n; ++w) out[w] = a[w] ^ b[w];
 }
 
-void accumulate_counters_portable(const Word* row, Word* planes, unsigned num_planes,
-                                  std::size_t n) noexcept {
-  for (std::size_t w = 0; w < n; ++w) {
-    accumulate_counters_word_scalar(row[w], planes, num_planes, n, w);
+// The counter lane: two Words as one 64-bit SWAR word.
+struct PortableLane {
+  using V = std::uint64_t;
+  static constexpr std::size_t kWords = 2;
+  static V load(const Word* p) noexcept {
+    V v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
   }
-}
+  static void store(Word* p, V v) noexcept { std::memcpy(p, &v, sizeof(v)); }
+  static V zero() noexcept { return 0; }
+  static V xor_(V a, V b) noexcept { return a ^ b; }
+  static V and_(V a, V b) noexcept { return a & b; }
+  static V or_(V a, V b) noexcept { return a | b; }
+  static bool any(V v) noexcept { return v != 0; }
+};
 
 void counters_to_majority_portable(const Word* planes, unsigned num_planes,
                                    std::size_t threshold, const Word* tie_break, Word* out,
@@ -74,10 +85,10 @@ const Backend kPortableBackend = {
     .hamming_words = hamming_words_portable,
     .hamming_rows = hamming_rows_portable,
     .xor_words = xor_words_portable,
-    .threshold_words =
-        threshold_words_via_counters<accumulate_counters_portable, counters_to_majority_portable>,
+    .threshold_words = threshold_words_via_counters<PortableLane, counters_to_majority_portable>,
     .bind_majority_words = bind_majority_closed_form<xor_words_portable>,
-    .accumulate_counters = accumulate_counters_portable,
+    .accumulate_counters = accumulate_counters<PortableLane>,
+    .accumulate_rows = accumulate_rows<PortableLane>,
     .counters_to_majority = counters_to_majority_portable,
 };
 

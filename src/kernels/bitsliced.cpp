@@ -62,10 +62,10 @@ void CounterBundle::reset(std::size_t words, std::size_t expected_adds) {
   std::fill(planes_.begin(), planes_.end(), Word{0});
 }
 
-void CounterBundle::add(const Backend& backend, const Word* row) {
+void CounterBundle::add(const Backend& backend, std::span<const Word* const> rows) {
   check_invariant(words_ >= 1, "CounterBundle::add: reset() not called");
-  backend.accumulate_counters(row, planes_.data(), num_planes_, words_);
-  ++adds_;
+  backend.accumulate_rows(rows.data(), rows.size(), planes_.data(), num_planes_, words_);
+  adds_ += rows.size();
 }
 
 void CounterBundle::majority(const Backend& backend, const Word* tie_break,

@@ -41,15 +41,16 @@ constexpr unsigned counter_planes_for(std::size_t adds) noexcept {
 }
 
 /// Host-side saturating bit-sliced counter bundle — the per-window
-/// accumulator of hd::StreamingEncoder, the trial encoder. Rows stream in
-/// one at a time through the dispatched Backend::accumulate_counters kernel
-/// into heap-held plane-major counters; `majority()` reads the bundle out
-/// through Backend::counters_to_majority. These are the same two kernels
-/// Backend::threshold_words runs over a stack block for the spatial
-/// majority, so there is one counter implementation per backend. Bit-exact
-/// with hd::BundleAccumulator over the same rows (verified in tests), at
-/// word rather than set-bit granularity and with O(planes * words) state
-/// instead of O(dim) 32-bit counts.
+/// accumulator of hd::StreamingEncoder, the trial encoder. Rows arrive in
+/// batches: each add() hands a range of rows to one dispatched
+/// Backend::accumulate_rows call, which reduces them through a carry-save
+/// adder tree into heap-held plane-major counters; `majority()` reads the
+/// bundle out through Backend::counters_to_majority. Backend::threshold_words
+/// runs the same two kernels over a stack block for the spatial majority,
+/// so there is one counter implementation per backend. Bit-exact with
+/// hd::BundleAccumulator over the same rows however they are split into
+/// add() calls (verified in tests), at word rather than set-bit granularity
+/// and with O(planes * words) state instead of O(dim) 32-bit counts.
 class CounterBundle {
  public:
   /// Prepares (and zeroes) planes wide enough for up to `expected_adds`
@@ -58,12 +59,13 @@ class CounterBundle {
   /// after warmup.
   void reset(std::size_t words, std::size_t expected_adds);
 
-  /// Accumulates one packed row of `words()` words. Adding more rows than
-  /// `reset` provisioned saturates the affected columns and (because the
-  /// readout threshold would no longer fit the planes) makes majority()
-  /// throw — size reset() to the exact add count, as the trial encoder
-  /// does (its N-grams per window).
-  void add(const Backend& backend, const Word* row);
+  /// Accumulates `rows` — packed rows of `words()` words each, possibly
+  /// none — in one multi-row kernel call. Adding more rows than `reset`
+  /// provisioned saturates the affected columns and (because the readout
+  /// threshold would no longer fit the planes) makes majority() throw —
+  /// size reset() to the exact add count, as the trial encoder does (its
+  /// N-grams per window).
+  void add(const Backend& backend, std::span<const Word* const> rows);
 
   std::size_t words() const noexcept { return words_; }
   unsigned planes() const noexcept { return num_planes_; }

@@ -48,6 +48,12 @@ constexpr std::uint64_t kCompletionId = 3;
 /// accept that cannot succeed until an fd frees up.
 constexpr std::chrono::milliseconds kAcceptBackoff{100};
 
+/// A connection refused at the connection cap has at most this many bytes
+/// (kRefusalDrainReads reads of kRefusalDrainBytes) of its already-sent
+/// request drained before the close, so the close is an EOF, not a reset.
+constexpr std::size_t kRefusalDrainBytes = 1024;
+constexpr int kRefusalDrainReads = 4;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   // io::errno_text is the strerror_r-based thread-safe formatter: workers
   // and the loop thread both throw through here.
@@ -424,6 +430,14 @@ void ClassifyServer::accept_ready(int listen_fd) {
           continue;
         }
         break;  // peer is gone; the refusal was advisory anyway
+      }
+      // Drain what the client already sent: closing a Unix socket over
+      // unread bytes resets it, and a client reading to EOF then gets
+      // ECONNRESET after the refusal line. Bounded (kRefusalDrainReads
+      // reads of a small buffer) so a hostile peer cannot stall the loop.
+      char sink[kRefusalDrainBytes];
+      for (int read = 0; read < kRefusalDrainReads; ++read) {
+        if (::recv(client, sink, sizeof(sink), MSG_DONTWAIT) <= 0) break;
       }
       ::close(client);
       continue;

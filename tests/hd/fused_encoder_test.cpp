@@ -109,6 +109,8 @@ TEST(CounterBundle, MatchesBundleAccumulator) {
     for (const std::size_t adds : {1u, 2u, 3u, 8u, 9u, 20u}) {
       std::vector<Hypervector> rows;
       for (std::size_t r = 0; r < adds; ++r) rows.push_back(random_hv(dim, rng));
+      std::vector<const Word*> row_ptrs;
+      for (const auto& row : rows) row_ptrs.push_back(row.words().data());
       BundleAccumulator acc(dim);
       for (const auto& row : rows) acc.add(row);
       const Hypervector expected = acc.finalize(tie_break);
@@ -116,7 +118,7 @@ TEST(CounterBundle, MatchesBundleAccumulator) {
         if (!backend->supported()) continue;
         kernels::CounterBundle bundle;
         bundle.reset(words, adds);
-        for (const auto& row : rows) bundle.add(*backend, row.words().data());
+        bundle.add(*backend, row_ptrs);
         EXPECT_EQ(bundle.adds(), adds);
         Hypervector out(dim);
         bundle.majority(*backend, tie_break.words().data(), out.mutable_words().data());
@@ -134,10 +136,11 @@ TEST(CounterBundle, OverAddingProvisionedCapacityRefusesReadout) {
   bundle.reset(2, 1);
   ASSERT_EQ(bundle.planes(), 1u);
   const std::vector<Word> row(2, 0x3u);
+  const Word* const row_ptr = row.data();
   const kernels::Backend& backend = kernels::portable_backend();
-  bundle.add(backend, row.data());
-  bundle.add(backend, row.data());
-  bundle.add(backend, row.data());
+  bundle.add(backend, {&row_ptr, 1});
+  bundle.add(backend, {&row_ptr, 1});
+  bundle.add(backend, {&row_ptr, 1});
   std::vector<Word> out(2);
   EXPECT_THROW(bundle.majority(backend, nullptr, out.data()), std::invalid_argument);
 }
@@ -146,9 +149,10 @@ TEST(CounterBundle, EvenAddCountRequiresTieBreak) {
   kernels::CounterBundle bundle;
   bundle.reset(2, 2);
   const std::vector<Word> row(2, 0x5u);
+  const Word* const row_ptr = row.data();
   const kernels::Backend& backend = kernels::portable_backend();
-  bundle.add(backend, row.data());
-  bundle.add(backend, row.data());
+  bundle.add(backend, {&row_ptr, 1});
+  bundle.add(backend, {&row_ptr, 1});
   std::vector<Word> out(2);
   EXPECT_THROW(bundle.majority(backend, nullptr, out.data()), std::invalid_argument);
 }
@@ -227,9 +231,9 @@ TEST(FusedTrialEncoding, MatchesSampleAtATimeReference) {
   const Hypervector tie = Hypervector::random(cfg.dim, tie_rng);
   kernels::CounterBundle bundle;
   bundle.reset(words_for_dim(cfg.dim), grams.size());
-  for (const auto& g : grams) {
-    bundle.add(kernels::active_backend(), g.words().data());
-  }
+  std::vector<const Word*> gram_ptrs;
+  for (const auto& g : grams) gram_ptrs.push_back(g.words().data());
+  bundle.add(kernels::active_backend(), gram_ptrs);
   Hypervector bundled(cfg.dim);
   bundle.majority(kernels::active_backend(), tie.words().data(),
                   bundled.mutable_words().data());

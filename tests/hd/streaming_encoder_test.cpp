@@ -4,7 +4,8 @@
 // equivalent buffered window slice, and therefore exactly the
 // predict_batch decision — across backends, n-gram sizes, window sizes
 // (one-gram windows included), hops, channel parity, 1-vs-4 threads,
-// stream lengths shorter/equal/longer than the window, and push chunkings;
+// stream lengths shorter/equal/longer than the window, and push chunkings,
+// windows longer than the 64-gram push chunk included;
 // plus the reset-reuse and mid-stream reconfigure lifecycle. HdClassifier
 // itself encodes through StreamingEncoder, so the oracle is never
 // HdClassifier::encode_query.
@@ -126,6 +127,53 @@ TEST(StreamingEncoder, WindowsBitIdenticalToPredictBatchAcrossTheSweep) {
       }
     }
   }
+}
+
+// Windows longer than the 64-gram push chunk and than the 15-row carry-save
+// group, under pushes that put chunk boundaries mid-window (1, 7, 64, 65
+// and 200 samples): every window each open window's range of chunk rows
+// bundles into must still be bit-identical to the reference over its slice.
+TEST(StreamingEncoder, WindowsLongerThanTheChunkBitIdenticalToReference) {
+  Xoshiro256StarStar rng(0x51e40005);
+  for (const kernels::Backend* backend : kernels::compiled_backends()) {
+    if (!backend->supported()) continue;
+    const kernels::ScopedBackend forced(backend);
+    for (const std::size_t n : {1u, 4u}) {
+      ClassifierConfig cfg;
+      cfg.dim = 256;
+      cfg.ngram = n;
+      const HdClassifier clf = trained_classifier(cfg, 0x51e4c0d6 + n);
+      StreamingEncoder session = clf.make_streaming_encoder();
+      for (const std::size_t window : {70u, 129u}) {
+        const Trial stream = random_stream(window + 150, cfg.channels, rng);
+        for (const std::size_t hop : {1u, 5u, 64u}) {
+          session.configure(window, hop);
+          const std::vector<Trial> slices = window_slices(stream, window, hop);
+          const std::vector<Hypervector> expected = reference::encode_trials(clf, slices);
+          for (const std::size_t chunk : {1u, 7u, 64u, 65u, 200u}) {
+            session.reset();
+            EXPECT_EQ(stream_queries(session, stream, chunk), expected)
+                << backend->name << " n " << n << " window " << window << " hop " << hop
+                << " push " << chunk;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The same past-the-chunk shape at the paper's dimension.
+TEST(StreamingEncoder, WindowLongerThanTheChunkBitIdenticalAtPaperDimension) {
+  Xoshiro256StarStar rng(0x51e40006);
+  ClassifierConfig cfg;
+  cfg.dim = 10000;
+  cfg.ngram = 4;
+  const HdClassifier clf = trained_classifier(cfg, 0x51e4c0d7);
+  StreamingEncoder session = clf.make_streaming_encoder();
+  session.configure(/*window=*/70, /*hop=*/5);
+  const Trial stream = random_stream(200, cfg.channels, rng);
+  const std::vector<Trial> slices = window_slices(stream, 70, 5);
+  EXPECT_EQ(stream_queries(session, stream, 65), reference::encode_trials(clf, slices));
 }
 
 // Hop larger than the window skips samples between decisions; those

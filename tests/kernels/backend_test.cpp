@@ -4,12 +4,14 @@
 // bench config and a multi-block threshold) and 1/3/129-query batches
 // against 1-8 prototype rows; the counter, threshold and closed-form spatial
 // kernels are also checked against naive per-column counts, since portable
-// shares their code. Plus the dispatch contract: PULPHD_BACKEND is
+// shares their code (the multi-row accumulate also against its own
+// single-row calls). Plus the dispatch contract: PULPHD_BACKEND is
 // honored, unknown values fail with a clear error.
 #include "kernels/backend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
@@ -364,6 +366,65 @@ TEST(BackendEquivalence, AccumulateCountersSaturatesInsteadOfWrapping) {
           << backend->name << " dim " << dim << " (LSB plane)";
       EXPECT_EQ(std::vector<Word>(planes.begin() + words, planes.end()), ones)
           << backend->name << " dim " << dim << " (MSB plane)";
+    }
+  }
+}
+
+// The multi-row accumulate, from preloaded counters, against the naive
+// per-column count and against num_rows successive single-row calls: row
+// counts around the 15-row carry-save group and the 64-gram encoder chunk,
+// every register-resident plane count plus two above that set, columns
+// driven into saturation, and word counts with every sub-vector tail.
+TEST(BackendEquivalence, AccumulateRowsMatchesNaiveCountsAndSingleRowCalls) {
+  Xoshiro256StarStar rng(0xb00c);
+  const std::size_t kRowCounts[] = {0, 1, 2, 7, 14, 15, 16, 30, 31, 55, 64, 70};
+  const unsigned kPlaneCounts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 11};
+  const std::size_t kWordCounts[] = {1, 7, 8, 9, 313, 314};
+  const std::size_t max_rows = 70;
+  for (const std::size_t words : kWordCounts) {
+    const std::size_t dim = words * kWordBits;
+    std::vector<std::vector<Word>> storage;
+    std::vector<const Word*> rows;
+    for (std::size_t r = 0; r < max_rows; ++r) {
+      storage.push_back(random_row(dim, rng));
+      rows.push_back(storage.back().data());
+    }
+    for (const unsigned num_planes : kPlaneCounts) {
+      // A third of the columns start within 7 of the cap, so every plane
+      // count sees columns saturate; the rest start anywhere.
+      const std::uint32_t cap = (std::uint32_t{1} << num_planes) - 1;
+      std::vector<std::uint32_t> initial(dim);
+      for (auto& count : initial) {
+        const auto near = static_cast<std::uint32_t>(rng.next() % 8);
+        count = rng.next() % 3 == 0 ? cap - std::min(cap, near)
+                                    : static_cast<std::uint32_t>(rng.next() % (cap + 1));
+      }
+      const std::vector<Word> start = planes_to_words(initial, num_planes, words);
+      std::vector<std::uint32_t> counts = initial;
+      std::size_t counted = 0;
+      for (const std::size_t num_rows : kRowCounts) {
+        for (; counted < num_rows; ++counted) {
+          for (std::size_t i = 0; i < dim; ++i) {
+            const Word bit =
+                extract_bit(rows[counted][i / kWordBits], static_cast<unsigned>(i % kWordBits));
+            if (bit != 0 && counts[i] < cap) ++counts[i];
+          }
+        }
+        const std::vector<Word> expected = planes_to_words(counts, num_planes, words);
+        for (const Backend* backend : compiled_backends()) {
+          if (!backend->supported()) continue;
+          std::vector<Word> multi = start;
+          backend->accumulate_rows(rows.data(), num_rows, multi.data(), num_planes, words);
+          EXPECT_EQ(multi, expected) << backend->name << " words " << words << " planes "
+                                     << num_planes << " rows " << num_rows << " (multi-row)";
+          std::vector<Word> single = start;
+          for (std::size_t r = 0; r < num_rows; ++r) {
+            backend->accumulate_counters(rows[r], single.data(), num_planes, words);
+          }
+          EXPECT_EQ(single, expected) << backend->name << " words " << words << " planes "
+                                      << num_planes << " rows " << num_rows << " (one by one)";
+        }
+      }
     }
   }
 }

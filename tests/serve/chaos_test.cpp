@@ -482,6 +482,45 @@ TEST_F(ChaosServer, OverloadedClientRetriesWithBackoffUntilAdmitted) {
   EXPECT_EQ(stats.give_ups, 0u);
 }
 
+// A client that sends its request straight after connect, before reading,
+// must still read the refusal line and then a clean EOF: the server drains
+// the unread request before closing. Closing over unread bytes would reset
+// the connection, and a client reading to EOF (as try_exchange does) would
+// get ECONNRESET after the line and lose it.
+TEST_F(ChaosServer, OverloadedRefusalReachesAClientThatSendsFirst) {
+  registry_.add("m", trained_classifier(11));
+  ServeConfig config;
+  config.max_connections = 1;
+  start(config);
+  Client holder(connect_unix(socket_path_));
+  holder.send("phd1 ping\n");
+  ASSERT_EQ(holder.read_line(), "ok pong");
+
+  const std::string request = format_classify_request("m", query_trials()) + "phd1 quit\n";
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    const int fd = connect_unix(socket_path_);
+    ASSERT_GE(fd, 0);
+    // EPIPE only means the refusal was already sent and the socket closed.
+    const ssize_t sent = ::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+    const int send_errno = sent < 0 ? errno : 0;
+    std::string response;
+    std::string error;
+    char chunk[256];
+    for (;;) {
+      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) error = io::errno_text(errno);
+      if (n <= 0) break;
+      response.append(chunk, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_TRUE(send_errno == 0 || send_errno == EPIPE) << io::errno_text(send_errno);
+    EXPECT_TRUE(response.starts_with("err code=overloaded") && error.empty())
+        << "attempt " << attempt << ": read \"" << response << "\" then "
+        << (error.empty() ? "EOF" : error);
+  }
+}
+
 // --- streaming sessions under chaos -----------------------------------------
 
 TEST_F(ChaosServer, ReloadMidStreamKeepsThePinnedModelUntilReopen) {
